@@ -51,10 +51,12 @@ from .network import (
     shortest_travel_time,
 )
 from .scoring import (
+    FairnessSnapshot,
     ScoreWeights,
     ValueFunction,
     base_score,
     driver_incentive,
+    fairness_snapshot,
     immediate_reward,
     passenger_incentive,
     total_score,

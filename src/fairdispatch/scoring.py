@@ -7,6 +7,10 @@ incentives pay each request the gap between the mean service rate and its
 group's rate; driver incentives scale the action reward by the driver's
 income gap.  The plus variants clip at zero so well-off groups and drivers
 are never penalised.
+
+The histories do not change within a window, so both gaps are computed once
+per window into a `FairnessSnapshot` (clipped there for the plus variants)
+and every action's incentives are dictionary lookups into it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Mapping
 from .errors import ConfigError, InputError, ParseError
 from .fleet import Action, VehicleState
 from .metrics import DriverHistory, PassengerHistory
-from .network import AreaPartition
+from .network import AreaPartition, GroupId
 
 VFA_KINDS = ("zero", "delay", "table")
 
@@ -59,9 +63,7 @@ class ValueFunction:
             raise ConfigError("bucket_seconds must be positive")
 
 
-def immediate_reward(
-    v: VehicleState, a: Action, pricing: Mapping[int, float] | None = None
-) -> float:
+def immediate_reward(a: Action, pricing: Mapping[int, float] | None = None) -> float:
     """Sum of the action's request values; each request is worth 1 by default."""
     if pricing is None:
         return float(len(a.requests))
@@ -99,26 +101,56 @@ def base_score(
     pricing: Mapping[int, float] | None = None,
 ) -> float:
     """Value estimate plus immediate reward; the fairness-free objective."""
-    return value_estimate(vfa, v, a, now, partition) + immediate_reward(v, a, pricing)
+    return value_estimate(vfa, v, a, now, partition) + immediate_reward(a, pricing)
 
 
-def passenger_incentive(a: Action, hist: PassengerHistory, plus: bool) -> float:
+@dataclass(frozen=True)
+class FairnessSnapshot:
+    """Fairness gaps frozen at window start, one per observed group and driver.
+
+    `group_gap[g]` is `mean_rate - service_rate(g)` and `driver_gap[d]` is
+    `mean_scaled - scaled_income(d)`, each clipped at zero for its plus
+    variant.  A group with no demand yet has gap 0.0, the gap between the
+    mean and itself.
+    """
+
+    group_gap: Mapping[GroupId, float]
+    driver_gap: Mapping[int, float]
+
+
+def _clipped(gap: float, plus: bool) -> float:
+    return 0.0 if plus and gap < 0 else gap
+
+
+def fairness_snapshot(
+    hist_p: PassengerHistory, hist_d: DriverHistory, w: ScoreWeights
+) -> FairnessSnapshot:
+    """Both histories' gaps for one window, clipped as `w`'s variants ask."""
+    mean_rate = hist_p.mean_rate()
+    group_gap = {
+        g: _clipped(mean_rate - hist_p.service_rate(g), w.passenger_plus)
+        for g in hist_p.observed_groups()
+    }
+    mean_scaled = hist_d.mean_scaled()
+    driver_gap = {
+        d: _clipped(mean_scaled - scaled, w.driver_plus)
+        for d, scaled in zip(hist_d.drivers(), hist_d.scaled_values())
+    }
+    return FairnessSnapshot(group_gap, driver_gap)
+
+
+def passenger_incentive(a: Action, snapshot: FairnessSnapshot) -> float:
     """Sum over the action's requests of the mean-vs-group service-rate gap."""
-    mean = hist.mean_rate()
     total = 0.0
     for r in a.requests:
-        gap = mean - hist.rate_or_mean(r.group)
-        if plus and gap < 0:
-            gap = 0.0
-        total += gap
+        total += snapshot.group_gap.get(r.group, 0.0)
     return total
 
 
 def driver_incentive(
     v: VehicleState,
     a: Action,
-    hist: DriverHistory,
-    plus: bool,
+    snapshot: FairnessSnapshot,
     pricing: Mapping[int, float] | None = None,
 ) -> float:
     """Income gap of the driver times the action reward.
@@ -126,29 +158,29 @@ def driver_incentive(
     The per-request clipped sum and the factored form agree because the
     driver's income gap is constant within an action.
     """
-    gap = hist.mean_scaled() - hist.scaled_income(v.id)
-    if plus and gap < 0:
-        gap = 0.0
-    return gap * immediate_reward(v, a, pricing)
+    return snapshot.driver_gap[v.id] * immediate_reward(a, pricing)
 
 
 def total_score(
     v: VehicleState,
     a: Action,
     vfa: ValueFunction,
-    hist_p: PassengerHistory,
-    hist_d: DriverHistory,
+    snapshot: FairnessSnapshot,
     w: ScoreWeights,
     now: float = 0.0,
     partition: AreaPartition | None = None,
     pricing: Mapping[int, float] | None = None,
 ) -> float:
-    """Base score plus weighted fairness incentives; reduces to the base at 0/0."""
+    """Base score plus weighted fairness incentives; reduces to the base at 0/0.
+
+    The plus variants are already applied in `snapshot`; only `w`'s weights
+    are read here.
+    """
     score = base_score(v, a, vfa, now, partition, pricing)
     if w.beta:
-        score += w.beta * passenger_incentive(a, hist_p, w.passenger_plus)
+        score += w.beta * passenger_incentive(a, snapshot)
     if w.delta:
-        score += w.delta * driver_incentive(v, a, hist_d, w.driver_plus, pricing)
+        score += w.delta * driver_incentive(v, a, snapshot, pricing)
     return score
 
 

@@ -1,14 +1,15 @@
 """Discrete-time dispatch loop, weight sweeps, and theorem micro-instances.
 
 Each window batches the requests that arrived during it, enumerates feasible
-actions per vehicle, scores them against history snapshots frozen at window
-start, solves the assignment, updates both fairness histories once, and
+actions per vehicle, scores them against one fairness snapshot frozen at
+window start, solves the assignment, updates both fairness histories once, and
 advances every vehicle by the window length.  Requests left unmatched at the
 end of their window are dropped.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +36,14 @@ from .metrics import (
     update_passenger_history,
 )
 from .network import AreaPartition, GroupId, StreetNetwork, group_of, grid_partition, make_grid
-from .scoring import ScoreWeights, ValueFunction, base_score, immediate_reward, total_score
+from .scoring import (
+    ScoreWeights,
+    ValueFunction,
+    base_score,
+    fairness_snapshot,
+    immediate_reward,
+    total_score,
+)
 
 MATCHER_KINDS = ("ilp", "async_greedy")
 
@@ -137,15 +145,16 @@ def build_window_problem(
     """Enumerate and score candidate actions for one assignment window."""
     weights = cfg.weights if weights is None else weights
     constraints = cfg.constraints()
+    snapshot = fairness_snapshot(hist_p, hist_d, weights) if cfg.incentives_enabled else None
     actions_by: dict[int, list] = {}
     candidates: dict[int, list[Candidate]] = {}
     for v in vehicles:
         acts = feasible_actions(v, batch, now, net, constraints)
         rows = []
         for a in acts:
-            if cfg.incentives_enabled:
+            if snapshot is not None:
                 score = total_score(
-                    v, a, cfg.vfa, hist_p, hist_d, weights, now, partition, cfg.pricing
+                    v, a, cfg.vfa, snapshot, weights, now, partition, cfg.pricing
                 )
             else:
                 score = base_score(v, a, cfg.vfa, now, partition, cfg.pricing)
@@ -207,7 +216,7 @@ def run_simulation(
         matching = _solve(problem, cfg, k)
 
         rewards = {
-            v.id: immediate_reward(v, actions_by[v.id][matching.chosen[v.id]], cfg.pricing)
+            v.id: immediate_reward(actions_by[v.id][matching.chosen[v.id]], cfg.pricing)
             for v in vehicles
         }
         hist_p = update_passenger_history(hist_p, window_batch, matching)
@@ -265,11 +274,26 @@ class SweepRow:
     result: RunResult
 
 
-def _sweep_point(payload) -> SweepRow:
-    cfg, net, partition, requests, fleet, beta, delta, pp, dp = payload
+# The inputs every grid point of a parallel sweep shares, set once per worker
+# process by `_init_sweep_worker` so that tasks carry only their weights.
+_worker_inputs: tuple | None = None
+
+
+def _init_sweep_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _sweep_point(inputs: tuple, point: tuple[float, float, bool, bool]) -> SweepRow:
+    cfg, net, partition, requests, fleet = inputs
+    beta, delta, pp, dp = point
     point_cfg = replace(cfg, weights=ScoreWeights(beta, delta, pp, dp))
     result = run_simulation(point_cfg, net, partition, requests, fleet)
     return SweepRow(beta, delta, pp, dp, result)
+
+
+def _worker_sweep_point(point: tuple[float, float, bool, bool]) -> SweepRow:
+    return _sweep_point(_worker_inputs, point)
 
 
 def sweep(
@@ -286,18 +310,22 @@ def sweep(
     """One full run per (beta, delta, variant) over a shared demand realisation."""
     if not betas or not deltas or not variants:
         raise ConfigError("sweep grids must be nonempty")
+    inputs = (cfg, net, partition, requests, fleet)
     grid = [
-        (cfg, net, partition, requests, fleet, beta, delta, pp, dp)
+        (beta, delta, pp, dp)
         for beta in sorted(betas)
         for delta in sorted(deltas)
         for pp, dp in sorted(variants)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, grid))
-    else:
-        results = [_sweep_point(point) for point in grid]
-    return results
+        with ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_sweep_worker,
+            initargs=inputs,
+        ) as pool:
+            return list(pool.map(_worker_sweep_point, grid))
+    return [_sweep_point(inputs, point) for point in grid]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ from fairdispatch.fleet import DROPOFF, PICKUP, Action, Stop, VehicleState
 from fairdispatch.metrics import DriverHistory, PassengerHistory
 from fairdispatch.network import GroupId, grid_partition
 from fairdispatch.scoring import (
+    FairnessSnapshot,
     ScoreWeights,
     ValueFunction,
     base_score,
     driver_incentive,
+    fairness_snapshot,
     immediate_reward,
     load_pricing,
     load_value_table,
@@ -41,19 +43,27 @@ def req(rid: int, group: GroupId = G_LOW) -> Request:
 
 NULL = Action((), (), 0.0)
 VEH = VehicleState(0, 0, capacity=4)
+NO_DEMAND = PassengerHistory.empty()
+NO_DRIVERS = DriverHistory({})
+
+
+def snap(
+    hist_p: PassengerHistory = NO_DEMAND, hist_d: DriverHistory = NO_DRIVERS, **weights
+) -> FairnessSnapshot:
+    return fairness_snapshot(hist_p, hist_d, ScoreWeights(**weights))
 
 
 def test_immediate_reward_null_action():
-    assert immediate_reward(VEH, NULL) == 0.0
+    assert immediate_reward(NULL) == 0.0
 
 
 def test_immediate_reward_unit_values():
-    assert immediate_reward(VEH, action_for(req(1), req(2))) == 2.0
+    assert immediate_reward(action_for(req(1), req(2))) == 2.0
 
 
 def test_immediate_reward_pricing_hook():
     a = action_for(req(1), req(2))
-    assert immediate_reward(VEH, a, {1: 1.5, 2: 2.5}) == 4.0
+    assert immediate_reward(a, {1: 1.5, 2: 2.5}) == 4.0
 
 
 def test_base_score_zero_vfa():
@@ -93,7 +103,7 @@ HIST = PassengerHistory({G_LOW: 10, G_HIGH: 10}, {G_LOW: 2, G_HIGH: 6})
 
 
 def test_passenger_incentive_empty_action():
-    assert passenger_incentive(NULL, HIST, plus=False) == 0.0
+    assert passenger_incentive(NULL, snap(HIST)) == 0.0
 
 
 def test_passenger_incentive_worked_example():
@@ -101,8 +111,8 @@ def test_passenger_incentive_worked_example():
     hist = PassengerHistory({G_LOW: 10, G_HIGH: 10, GroupId(1, 0): 10},
                             {G_LOW: 2, G_HIGH: 6, GroupId(1, 0): 7})
     a = action_for(req(1, G_LOW), req(2, G_HIGH))
-    assert passenger_incentive(a, hist, plus=False) == pytest.approx(0.2)
-    assert passenger_incentive(a, hist, plus=True) == pytest.approx(0.3)
+    assert passenger_incentive(a, snap(hist)) == pytest.approx(0.2)
+    assert passenger_incentive(a, snap(hist, passenger_plus=True)) == pytest.approx(0.3)
 
 
 def test_passenger_incentive_plus_dominates():
@@ -113,8 +123,8 @@ def test_passenger_incentive_plus_dominates():
             dict(groups), {g: rng.randint(0, n) for g, n in groups.items()}
         )
         a = action_for(*(req(i, GroupId(0, rng.randrange(4))) for i in range(3)))
-        plain = passenger_incentive(a, hist, plus=False)
-        clipped = passenger_incentive(a, hist, plus=True)
+        plain = passenger_incentive(a, snap(hist))
+        clipped = passenger_incentive(a, snap(hist, passenger_plus=True))
         assert clipped >= plain
         if all(hist.rate_or_mean(r.group) <= hist.mean_rate() for r in a.requests):
             assert clipped == plain
@@ -122,7 +132,7 @@ def test_passenger_incentive_plus_dominates():
 
 def test_passenger_incentive_unseen_group_contributes_zero():
     a = action_for(req(1, GroupId(1, 1)))
-    assert passenger_incentive(a, HIST, plus=False) == 0.0
+    assert passenger_incentive(a, snap(HIST)) == 0.0
 
 
 def test_worst_group_maximises_single_request_incentive():
@@ -134,10 +144,8 @@ def test_worst_group_maximises_single_request_incentive():
         )
         rates = {g: hist.service_rate(g) for g in hist.observed_groups()}
         worst = min(rates, key=lambda g: (rates[g], g))
-        scores = {
-            g: passenger_incentive(action_for(req(1, g)), hist, plus=False)
-            for g in rates
-        }
+        gaps = snap(hist)
+        scores = {g: passenger_incentive(action_for(req(1, g)), gaps) for g in rates}
         assert scores[worst] == max(scores.values())
 
 
@@ -148,7 +156,7 @@ DRIVERS = DriverHistory({0: 2.0, 1: 8.0, 2: 10.0})
 def test_driver_incentive_zero_disparity():
     hist = DriverHistory({0: 5.0, 1: 5.0})
     a = action_for(req(1))
-    assert driver_incentive(VehicleState(0, 0, capacity=1), a, hist, plus=False) == 0.0
+    assert driver_incentive(VehicleState(0, 0, capacity=1), a, snap(hist_d=hist)) == 0.0
 
 
 def test_driver_incentive_worked_example():
@@ -157,9 +165,9 @@ def test_driver_incentive_worked_example():
     a = action_for(req(1), req(2))
     poor = VehicleState(0, 0, capacity=4)
     rich = VehicleState(1, 0, capacity=4)
-    assert driver_incentive(poor, a, hist, plus=False) == pytest.approx(0.6)
-    assert driver_incentive(rich, a, hist, plus=False) == pytest.approx(-0.6)
-    assert driver_incentive(rich, a, hist, plus=True) == 0.0
+    assert driver_incentive(poor, a, snap(hist_d=hist)) == pytest.approx(0.6)
+    assert driver_incentive(rich, a, snap(hist_d=hist)) == pytest.approx(-0.6)
+    assert driver_incentive(rich, a, snap(hist_d=hist, driver_plus=True)) == 0.0
 
 
 def test_total_score_reduces_to_base_at_zero_weights():
@@ -167,7 +175,7 @@ def test_total_score_reduces_to_base_at_zero_weights():
     a = action_for(req(1, G_LOW), added_delay=50.0)
     vfa = ValueFunction(kind="delay", omega=2e-4)
     for v in (VehicleState(0, 0, capacity=2), VehicleState(1, 0, capacity=2)):
-        got = total_score(v, a, vfa, HIST, hist_d, ScoreWeights())
+        got = total_score(v, a, vfa, snap(HIST, hist_d), ScoreWeights())
         assert got == base_score(v, a, vfa)
 
 
@@ -177,26 +185,27 @@ def test_total_score_composition():
                             {G_LOW: 2, G_HIGH: 6, GroupId(1, 0): 7})
     hist_d = DriverHistory.zeroed([0])
     a = action_for(req(1, G_LOW))
-    got = total_score(VEH, a, ZERO, hist, hist_d, ScoreWeights(beta=2.0))
+    got = total_score(VEH, a, ZERO, snap(hist, hist_d), ScoreWeights(beta=2.0))
     assert got == pytest.approx(1.6)
 
 
 def test_total_score_null_action_is_zero():
     hist_d = DriverHistory({0: 1.0, 1: 5.0})
     w = ScoreWeights(beta=7.0, delta=11.0)
-    assert total_score(VEH, NULL, ZERO, HIST, hist_d, w) == 0.0
+    assert total_score(VEH, NULL, ZERO, fairness_snapshot(HIST, hist_d, w), w) == 0.0
 
 
 def test_total_score_affine_in_weights():
     hist_d = DriverHistory({0: 2.0, 1: 8.0})
     v = VehicleState(0, 0, capacity=4)
     a = action_for(req(1, G_LOW), req(2, G_HIGH))
-    s0 = total_score(v, a, ZERO, HIST, hist_d, ScoreWeights())
-    fp = passenger_incentive(a, HIST, plus=False)
-    fd = driver_incentive(v, a, hist_d, plus=False)
+    gaps = snap(HIST, hist_d)
+    s0 = total_score(v, a, ZERO, gaps, ScoreWeights())
+    fp = passenger_incentive(a, gaps)
+    fd = driver_incentive(v, a, gaps)
     for beta in (0.5, 1.0, 4.0):
         for delta in (0.25, 2.0):
-            got = total_score(v, a, ZERO, HIST, hist_d, ScoreWeights(beta=beta, delta=delta))
+            got = total_score(v, a, ZERO, gaps, ScoreWeights(beta=beta, delta=delta))
             assert got == pytest.approx(s0 + beta * fp + delta * fd, rel=1e-12)
 
 
@@ -212,11 +221,12 @@ def test_argmax_invariance_under_value_and_beta_scaling():
         action_for(req(1, G_LOW), req(2, G_HIGH)),
         NULL,
     ]
+    gaps = snap(hist, hist_d)
     pricing = {1: 1.25, 2: 0.75}
     c = 4.0  # power of two keeps the float comparison exact
     for beta in (0.5, 2.0):
         base_scores = [
-            total_score(v, a, ZERO, hist, hist_d, ScoreWeights(beta=beta), pricing=pricing)
+            total_score(v, a, ZERO, gaps, ScoreWeights(beta=beta), pricing=pricing)
             for a in actions
         ]
         scaled_scores = [
@@ -224,14 +234,143 @@ def test_argmax_invariance_under_value_and_beta_scaling():
                 v,
                 a,
                 ZERO,
-                hist,
-                hist_d,
+                gaps,
                 ScoreWeights(beta=c * beta),
                 pricing={k: c * p for k, p in pricing.items()},
             )
             for a in actions
         ]
         assert base_scores.index(max(base_scores)) == scaled_scores.index(max(scaled_scores))
+
+
+# --- snapshot scoring against the history-based formulas --------------------
+#
+# The references below recompute the fairness gaps from the histories for
+# every action, the way scores were computed before the per-window snapshot.
+# Snapshot scores must equal them exactly, not approximately: a change in the
+# last bit of a score can change the exact matcher's tie-break.
+
+
+def ref_passenger_incentive(a: Action, hist: PassengerHistory, plus: bool) -> float:
+    mean = hist.mean_rate()
+    total = 0.0
+    for r in a.requests:
+        gap = mean - hist.rate_or_mean(r.group)
+        if plus and gap < 0:
+            gap = 0.0
+        total += gap
+    return total
+
+
+def ref_driver_incentive(v, a, hist: DriverHistory, plus: bool, pricing=None) -> float:
+    gap = hist.mean_scaled() - hist.scaled_income(v.id)
+    if plus and gap < 0:
+        gap = 0.0
+    return gap * immediate_reward(a, pricing)
+
+
+def ref_total_score(v, a, vfa, hist_p, hist_d, w, now=0.0, partition=None, pricing=None):
+    score = base_score(v, a, vfa, now, partition, pricing)
+    if w.beta:
+        score += w.beta * ref_passenger_incentive(a, hist_p, w.passenger_plus)
+    if w.delta:
+        score += w.delta * ref_driver_incentive(v, a, hist_d, w.driver_plus, pricing)
+    return score
+
+
+GRID_PART = grid_partition(4, 4, 2, 2)
+GROUPS = [GroupId(o, d) for o in range(4) for d in range(4)]
+
+
+def random_passenger_history(rng: random.Random) -> PassengerHistory:
+    """Random counts over some of the groups; some groups are listed with no demand."""
+    requested, served = {}, {}
+    for g in rng.sample(GROUPS, rng.randint(0, 10)):
+        n = rng.choice([0, rng.randint(1, 40)])
+        requested[g] = n
+        served[g] = rng.randint(0, n)
+    return PassengerHistory(requested, served)
+
+
+def random_driver_history(rng: random.Random, drivers: int) -> DriverHistory:
+    if rng.random() < 0.2:
+        return DriverHistory.zeroed(range(drivers))
+    return DriverHistory(
+        {d: rng.choice([0.0, rng.uniform(0.0, 30.0), float(rng.randint(0, 9))]) for d in range(drivers)}
+    )
+
+
+def random_action(rng: random.Random, first_id: int) -> Action:
+    requests = []
+    for i in range(rng.randint(0, 3)):
+        pickup, dropoff = rng.sample(range(16), 2)
+        requests.append(Request(first_id + i, pickup, dropoff, 0.0, rng.choice(GROUPS)))
+    return action_for(*requests, added_delay=rng.uniform(0.0, 400.0))
+
+
+def random_vfa(rng: random.Random) -> ValueFunction:
+    kind = rng.choice(["zero", "delay", "table"])
+    if kind == "delay":
+        return ValueFunction(kind="delay", omega=rng.uniform(0.0, 0.01))
+    if kind == "table":
+        table = {
+            (rng.randrange(4), rng.randrange(4), rng.randrange(24)): rng.uniform(-2.0, 2.0)
+            for _ in range(40)
+        }
+        return ValueFunction(kind="table", table=table)
+    return ZERO
+
+
+def test_snapshot_scores_equal_history_scores_exactly():
+    rng = random.Random(2024)
+    for case in range(400):
+        drivers = rng.randint(1, 6)
+        hist_p = random_passenger_history(rng)
+        hist_d = random_driver_history(rng, drivers)
+        w = ScoreWeights(
+            beta=rng.choice([0.0, 1.0, 20.0, rng.uniform(0.0, 50.0)]),
+            delta=rng.choice([0.0, 1.0, 20.0, rng.uniform(0.0, 50.0)]),
+            passenger_plus=rng.random() < 0.5,
+            driver_plus=rng.random() < 0.5,
+        )
+        gaps = fairness_snapshot(hist_p, hist_d, w)
+        vfa = random_vfa(rng)
+        now = rng.uniform(0.0, 86400.0)
+        v = VehicleState(rng.randrange(drivers), rng.randrange(16), capacity=4)
+        for k in range(5):
+            a = random_action(rng, 10 * k)
+            pricing = (
+                {r.id: rng.uniform(0.5, 3.0) for r in a.requests if rng.random() < 0.7}
+                if rng.random() < 0.5
+                else None
+            )
+            assert passenger_incentive(a, gaps) == ref_passenger_incentive(
+                a, hist_p, w.passenger_plus
+            ), case
+            assert driver_incentive(v, a, gaps, pricing) == ref_driver_incentive(
+                v, a, hist_d, w.driver_plus, pricing
+            ), case
+            got = total_score(v, a, vfa, gaps, w, now, GRID_PART, pricing)
+            want = ref_total_score(v, a, vfa, hist_p, hist_d, w, now, GRID_PART, pricing)
+            assert got == want, case
+
+
+def test_snapshot_unseen_and_zero_demand_groups_read_zero():
+    hist = PassengerHistory({G_LOW: 10, G_HIGH: 0}, {G_LOW: 2})
+    gaps = snap(hist)
+    assert set(gaps.group_gap) == {G_LOW}
+    for g in (G_HIGH, GroupId(3, 3)):
+        a = action_for(req(1, g))
+        assert passenger_incentive(a, gaps) == ref_passenger_incentive(a, hist, False) == 0.0
+
+
+def test_snapshot_all_zero_incomes():
+    hist = DriverHistory.zeroed([0, 1, 2])
+    a = action_for(req(1), req(2))
+    for plus in (False, True):
+        gaps = snap(hist_d=hist, driver_plus=plus)
+        assert gaps.driver_gap == {0: 0.0, 1: 0.0, 2: 0.0}
+        assert driver_incentive(VEH, a, gaps) == ref_driver_incentive(VEH, a, hist, plus) == 0.0
 
 
 def test_weights_validation():

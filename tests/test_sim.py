@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import pytest
 
+import fairdispatch.sim as sim_module
 from fairdispatch.demand import DemandProfile, Request, batch, synth_requests
 from fairdispatch.errors import ConfigError
 from fairdispatch.fleet import VehicleState, feasible_actions
@@ -176,6 +178,35 @@ def test_sweep_parallel_matches_serial():
     assert [(r.beta, r.result.window_rows) for r in serial] == [
         (r.beta, r.result.window_rows) for r in parallel
     ]
+
+
+def test_sweep_tasks_carry_only_weights(monkeypatch):
+    # the shared inputs reach each worker once, through the pool initializer;
+    # every grid-point task is just its weights
+    net, part, requests, fleet = small_world(seed=9, horizon=600.0)
+    sent = {}
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            sent["initargs"] = initargs
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, tasks):
+            sent["tasks"] = [(fn, task) for task in tasks]
+            return iter(())
+
+    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
+    betas, deltas, variants = [0.0, 1.0, 2.0], [0.0, 5.0], [(False, False), (True, True)]
+    sweep(small_cfg(horizon=600.0), net, part, requests, fleet, betas, deltas, variants, jobs=2)
+    assert sent["initargs"][1] is net
+    assert len(sent["tasks"]) == 12
+    for task in sent["tasks"]:
+        assert len(pickle.dumps(task)) < 1024
 
 
 def test_sweep_rejects_empty_grid():
