@@ -88,6 +88,11 @@ class VehicleState:
         return self.next_node, net.travel_time(self.location, self.next_node) - self.edge_progress
 
 
+# Shared by every null action: each empty frozenset would cost 216 bytes,
+# and every vehicle has a null candidate in every window.
+_NO_REQUESTS: frozenset[int] = frozenset()
+
+
 @dataclass(frozen=True)
 class Action:
     """A request subset plus the stop sequence that realises it."""
@@ -97,6 +102,8 @@ class Action:
     added_delay: float
 
     def request_ids(self) -> frozenset[int]:
+        if not self.requests:
+            return _NO_REQUESTS
         return frozenset(r.id for r in self.requests)
 
     @property

@@ -14,12 +14,21 @@ never undercut the total of any assignment beneath it and pruning against
 it is exact even under ties.  A complementary per-request surplus bound
 covers windows where many vehicles contend for few requests; it is
 admissible up to rounding and backed by an exact fallback.
+
+The passes of one component share a deterministic work budget
+(SEARCH_BUDGET, counted in search nodes times component vehicles, never
+in wall time).  A component that exceeds it is solved by HiGHS through
+scipy instead: LP relaxations and zero-gap MILPs give the optimum, and
+fixing vehicles in ascending id order rebuilds the same tie-break.  Within
+the budget results are exact and lexicographic; beyond it they are optimal
+and tie-broken to HiGHS's tolerance.  scipy is imported only on that path.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf
 from pathlib import Path
@@ -63,12 +72,42 @@ class MatchProblem:
                     raise InputError(f"vehicle {v} references requests outside the batch: {sorted(stray)}")
 
 
+class _ByVehicle(Mapping):
+    """Read-only mapping from a problem's sorted vehicle ids to one value each.
+
+    Holds a tuple aligned with the problem's `vehicle_ids` (which it shares)
+    instead of a dict: a matching costs two pointers per vehicle, which
+    matters to callers that keep the matchings of many windows.
+    """
+
+    __slots__ = ("_vehicles", "_values")
+
+    def __init__(self, vehicles: tuple[int, ...], values: tuple) -> None:
+        self._vehicles = vehicles
+        self._values = values
+
+    def __getitem__(self, v: int):
+        k = bisect_left(self._vehicles, v)
+        if k == len(self._vehicles) or self._vehicles[k] != v:
+            raise KeyError(v)
+        return self._values[k]
+
+    def __iter__(self):
+        return iter(self._vehicles)
+
+    def __len__(self) -> int:
+        return len(self._vehicles)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class Matching:
     """One chosen candidate index per vehicle; requests pairwise disjoint."""
 
-    chosen: dict[int, int]
-    assigned: dict[int, frozenset[int]]
+    chosen: Mapping[int, int]
+    assigned: Mapping[int, frozenset[int]]
     total_score: float
 
     def served_request_ids(self) -> frozenset[int]:
@@ -100,21 +139,19 @@ def _canonical_total(p: MatchProblem, chosen: Mapping[int, int]) -> float:
 
 
 def _finish(p: MatchProblem, chosen: dict[int, int]) -> Matching:
-    assigned = {v: p.candidates[v][i].requests for v, i in chosen.items()}
-    matching = Matching(dict(sorted(chosen.items())), assigned, _canonical_total(p, chosen))
-    _check_matching(p, matching)
-    return matching
-
-
-def _check_matching(p: MatchProblem, m: Matching) -> None:
-    if set(m.chosen) != set(p.vehicle_ids):
+    if set(chosen) != set(p.vehicle_ids):
         raise ContractError("matching must assign exactly one action per vehicle")
+    vehicles = p.vehicle_ids
+    indices = tuple(chosen[v] for v in vehicles)
+    requests = tuple(p.candidates[v][i].requests for v, i in zip(vehicles, indices))
     seen: set[int] = set()
-    for v in p.vehicle_ids:
-        ids = m.assigned[v]
+    for ids in requests:
         if ids & seen:
             raise ContractError(f"request served twice: {sorted(ids & seen)}")
         seen |= ids
+    return Matching(
+        _ByVehicle(vehicles, indices), _ByVehicle(vehicles, requests), _canonical_total(p, chosen)
+    )
 
 
 def _components(p: MatchProblem, masks: dict[int, list[tuple[int, float]]]) -> list[list[int]]:
@@ -208,10 +245,35 @@ def _sums_are_exact(vehicles: list[int], masks: dict[int, list[tuple[int, float]
     return True
 
 
+# Work the exact search may spend on one component before HiGHS takes it
+# over, counted as search nodes times component vehicles: every node of
+# `_best_value` scans all vehicles for its bound.  The desk days 0-11 of the
+# criterion-5 scenario peak at 7.4e4 and the easy windows of city-scale
+# greedy runs at 2.3e5, so the budget keeps a 2x margin over every measured
+# component the search finishes; components that run for seconds or
+# minutes reach it after 0.1-0.15 s, which is all the search they waste.
+SEARCH_BUDGET = 5 * 10**5
+
+
+class _BudgetExceeded(Exception):
+    """The exact search of one component ran past SEARCH_BUDGET."""
+
+
+class _Budget:
+    """Work left to the exact search of one component; its passes draw on it in turn.
+
+    Each pass keeps the count in a local while it runs and stores it back.
+    """
+
+    def __init__(self) -> None:
+        self.left = SEARCH_BUDGET
+
+
 def _best_value(
     vehicles: list[int],
     masks: dict[int, list[tuple[int, float]]],
     desc: dict[int, list[tuple[int, float]]],
+    budget: _Budget,
     use_surplus_bound: bool = True,
 ) -> float:
     """Optimal component score via depth-first search in descending-score order."""
@@ -246,8 +308,14 @@ def _best_value(
             total += value
         return total
 
+    work = len(vehicles)
+    left = budget.left
+
     def dive(idx: int, used: int, partial: float, free_surplus: float) -> None:
-        nonlocal best
+        nonlocal best, left
+        left -= work
+        if left < 0:
+            raise _BudgetExceeded
         if idx == len(order):
             total = 0.0
             for v in vehicles:
@@ -274,6 +342,7 @@ def _best_value(
             del decided[v]
 
     dive(0, 0, 0.0, total_surplus)
+    budget.left = left
     return best
 
 
@@ -282,6 +351,7 @@ def _lex_reconstruct(
     masks: dict[int, list[tuple[int, float]]],
     desc: dict[int, list[tuple[int, float]]],
     target: float,
+    budget: _Budget,
     use_surplus_bound: bool = True,
 ) -> dict[int, int] | None:
     """First assignment in lexicographic index order achieving the optimum.
@@ -308,7 +378,14 @@ def _lex_reconstruct(
             total += _first_compatible(desc[v], used)
         return total
 
+    work = len(vehicles)
+    left = budget.left
+
     def dive(idx: int, partial: float, used: int, free_surplus: float) -> bool:
+        nonlocal left
+        left -= work
+        if left < 0:
+            raise _BudgetExceeded
         if idx == len(vehicles):
             return partial == target
         v = vehicles[idx]
@@ -339,18 +416,269 @@ def _lex_reconstruct(
     total_surplus = 0.0
     for bit in sorted(attr):
         total_surplus += attr[bit]
-    if dive(0, 0.0, 0, total_surplus):
-        return chosen
-    return None
+    found = dive(0, 0.0, 0, total_surplus)
+    budget.left = left
+    return chosen if found else None
+
+
+def _exact_component(
+    vehicles: list[int],
+    masks: dict[int, list[tuple[int, float]]],
+    desc: dict[int, list[tuple[int, float]]],
+) -> dict[int, int]:
+    """Lexicographically smallest optimal assignment of one component.
+
+    Raises _BudgetExceeded once the passes together spend SEARCH_BUDGET.
+    """
+    budget = _Budget()
+    target = _best_value(vehicles, masks, desc, budget)
+    found = _lex_reconstruct(vehicles, masks, desc, target, budget)
+    if found is None:
+        # The surplus bound is admissible up to float rounding; fall back
+        # to the exact per-vehicle bound if it over-pruned.
+        target = _best_value(vehicles, masks, desc, budget, use_surplus_bound=False)
+        found = _lex_reconstruct(vehicles, masks, desc, target, budget, use_surplus_bound=False)
+        if found is None:
+            raise ContractError("optimal assignment vanished during reconstruction")
+    return found
+
+
+# Relative score margin within which the HiGHS path treats a total as
+# reaching the optimum; HiGHS itself stops at an absolute gap of 1e-6.
+_HIGHS_TIE = 1e-9
+# Cost added per candidate index to steer HiGHS toward the tie-break among
+# tied optima; it exceeds HiGHS's 1e-7 optimality tolerance.  A nudged
+# solution is kept only if its true total reaches the optimum.
+_LEX_NUDGE = 1e-6
+
+
+def _component_total(
+    vehicles: list[int], masks: dict[int, list[tuple[int, float]]], chosen: Mapping[int, int]
+) -> float:
+    total = 0.0
+    for v in vehicles:
+        total += masks[v][chosen[v]][1]
+    return total
+
+
+def _price_bound(
+    free: Sequence[int],
+    masks: dict[int, list[tuple[int, float]]],
+    used: int,
+    prices: Mapping[int, float],
+) -> float:
+    """Upper bound on what the free vehicles can score while avoiding `used`.
+
+    Lagrangian relaxation of the serve-once rows: with a nonnegative price on
+    every request, each vehicle takes its best price-adjusted candidate and
+    the prices are added back.  Any nonnegative prices give a valid bound;
+    the duals of an LP over the same vehicles give the tightest one.
+    """
+    bound = 0.0
+    for bit, price in prices.items():
+        if not bit & used:
+            bound += price
+    for v in free:
+        best = -inf
+        for mask, score in masks[v]:
+            if mask & used:
+                continue
+            bits = mask
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
+                score -= prices.get(bit, 0.0)
+            if score > best:
+                best = score
+        bound += best
+    return bound
+
+
+class _HighsModel:
+    """The assignment ILP of one component for HiGHS, built once.
+
+    Columns are (vehicle, candidate index) pairs; rows say each vehicle
+    takes one candidate and each request is served at most once.  A solve
+    keeps the rows of the free vehicles and the columns that avoid the
+    taken requests.
+    """
+
+    def __init__(self, vehicles: list[int], masks: dict[int, list[tuple[int, float]]]) -> None:
+        import numpy as np
+        from scipy.sparse import csc_array
+
+        self.vehicles = vehicles
+        self.columns = [(v, i) for v in vehicles for i in range(len(masks[v]))]
+        self.column_masks = [masks[v][i][0] for v, i in self.columns]
+        self.cost = np.array([-masks[v][i][1] for v, i in self.columns])
+        row_of_bit: dict[int, int] = {}
+        row_of_vehicle = {v: r for r, v in enumerate(vehicles)}
+        ub_rows, ub_cols = [], []
+        for j, mask in enumerate(self.column_masks):
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                ub_rows.append(row_of_bit.setdefault(bit, len(row_of_bit)))
+                ub_cols.append(j)
+        n = len(self.columns)
+        eq_rows = [row_of_vehicle[v] for v, _ in self.columns]
+        self.a_eq = csc_array((np.ones(n), (eq_rows, range(n))), shape=(len(vehicles), n))
+        self.a_ub = csc_array((np.ones(len(ub_rows)), (ub_rows, ub_cols)), shape=(len(row_of_bit), n))
+        self.bits = list(row_of_bit)
+        # Lower vehicle ids weigh more, as they do in the tie-break.
+        weight = {v: (len(vehicles) - r) / len(vehicles) for r, v in enumerate(vehicles)}
+        self.nudged_cost = self.cost + np.array(
+            [_LEX_NUDGE * i * weight[v] for v, i in self.columns]
+        )
+
+    def solve(
+        self, fixed: Mapping[int, int], used: int, integral: bool, nudged: bool = False
+    ) -> tuple[dict[int, int] | None, dict[int, float]]:
+        """Best assignment of the vehicles not in `fixed` that avoids `used`.
+
+        With `integral` false this is the LP relaxation: it returns the
+        assignment when the LP optimum is integral (else None) and the LP's
+        request prices.  With `integral` true it is the zero-gap MILP and
+        returns its assignment and no prices.  `nudged` solves with the
+        tie-steering costs, whose optimum may fall short of the true one.
+        """
+        import numpy as np
+        from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
+        free_rows = [r for r, v in enumerate(self.vehicles) if v not in fixed]
+        if not free_rows:
+            return {}, {}
+        keep = [
+            j
+            for j, ((v, _), mask) in enumerate(zip(self.columns, self.column_masks))
+            if v not in fixed and not mask & used
+        ]
+        cost = (self.nudged_cost if nudged else self.cost)[keep]
+        a_eq = self.a_eq[:, keep][free_rows]
+        a_ub = self.a_ub[:, keep]
+        if integral:
+            result = milp(
+                cost,
+                constraints=[LinearConstraint(a_eq, 1.0, 1.0), LinearConstraint(a_ub, -inf, 1.0)],
+                integrality=np.ones(len(keep)),
+                bounds=Bounds(0.0, 1.0),
+                options={"mip_rel_gap": 0},
+            )
+        else:
+            result = linprog(
+                cost,
+                A_ub=a_ub,
+                b_ub=np.ones(len(self.bits)),
+                A_eq=a_eq,
+                b_eq=np.ones(len(free_rows)),
+                bounds=(0.0, 1.0),
+                method="highs-ds",
+            )
+        if result.status != 0:
+            raise ContractError(
+                f"HiGHS found no optimum for the component of vehicles {self.vehicles}: "
+                f"{result.message}"
+            )
+        chosen = self._assignment(keep, result.x, len(free_rows))
+        if integral:
+            if chosen is None:
+                raise ContractError(
+                    f"HiGHS returned a non-integral MILP solution for the component of vehicles {self.vehicles}"
+                )
+            return chosen, {}
+        prices = {
+            bit: max(0.0, -float(dual)) for bit, dual in zip(self.bits, result.ineqlin.marginals)
+        }
+        return chosen, prices
+
+    def _assignment(self, keep: list[int], x, n_vehicles: int) -> dict[int, int] | None:
+        """The assignment a 0/1 solution encodes; None if it is fractional or infeasible."""
+        import numpy as np
+
+        if np.abs(x - np.round(x)).max() > 1e-6:
+            return None
+        chosen: dict[int, int] = {}
+        used = 0
+        for k in np.flatnonzero(x > 0.5):
+            j = keep[k]
+            v, i = self.columns[j]
+            mask = self.column_masks[j]
+            if v in chosen or mask & used:
+                return None
+            chosen[v] = i
+            used |= mask
+        return chosen if len(chosen) == n_vehicles else None
+
+
+def _solve_with_highs(
+    vehicles: list[int], masks: dict[int, list[tuple[int, float]]]
+) -> dict[int, int]:
+    """Optimal assignment of one component from HiGHS, tie-broken by fixing.
+
+    The incumbent comes from the LP relaxation when that is integral and
+    from a zero-gap MILP otherwise; S is its total.  Vehicles are then fixed
+    in ascending id order, each to the lowest candidate index that still
+    admits a total of at least S - tol.  A lower index than the incumbent's
+    is skipped when its requests are taken, rejected when a price bound from
+    the latest LP (or from an LP with the index fixed) falls below S - tol,
+    and accepted when an integral solution with the index fixed reaches
+    S - tol; that solution becomes the incumbent.  The solution comes from
+    the nudged LP, from the nudged MILP if the LP is fractional, and from
+    the exact MILP if the nudged one falls short.  The nudge makes HiGHS
+    prefer the tie-break among tied optima, so that later vehicles seldom
+    have to move the incumbent again.
+    """
+    model = _HighsModel(vehicles, masks)
+    incumbent, prices = model.solve({}, 0, integral=False)
+    if incumbent is None:
+        incumbent, _ = model.solve({}, 0, integral=True)
+    target = _component_total(vehicles, masks, incumbent)
+    floor = target - _HIGHS_TIE * (1.0 + abs(target))
+    fixed: dict[int, int] = {}
+    used = 0
+    partial = 0.0
+    for pos, v in enumerate(vehicles):
+        rest = vehicles[pos + 1 :]
+        for i, (mask, score) in enumerate(masks[v][: incumbent[v]]):
+            if mask & used:
+                continue
+            taken = used | mask
+            if partial + score + _price_bound(rest, masks, taken, prices) < floor:
+                continue
+            trial_fixed = {**fixed, v: i}
+            found, lp_prices = model.solve(trial_fixed, taken, integral=False, nudged=True)
+            if lp_prices:
+                prices = lp_prices
+            if partial + score + _price_bound(rest, masks, taken, prices) < floor:
+                continue
+            if found is None:
+                found, _ = model.solve(trial_fixed, taken, integral=True, nudged=True)
+            trial = {**trial_fixed, **found}
+            if _component_total(vehicles, masks, trial) < floor:
+                found, _ = model.solve(trial_fixed, taken, integral=True)
+                trial = {**trial_fixed, **found}
+            if _component_total(vehicles, masks, trial) >= floor:
+                incumbent = trial
+                break
+        mask, score = masks[v][incumbent[v]]
+        if mask & used:
+            raise ContractError(f"HiGHS incumbent lost while fixing the component of vehicles {vehicles}")
+        fixed[v] = incumbent[v]
+        used |= mask
+        partial += score
+    return fixed
 
 
 def solve_ilp(p: MatchProblem) -> Matching:
-    """Provably optimal matching with deterministic tie-breaking.
+    """Optimal matching with deterministic tie-breaking.
 
-    Among score-optimal assignments, returns the one whose candidate indices
-    are lexicographically smallest over vehicles in ascending id order.
     Vehicles that share no requests form independent components and are
-    solved separately.
+    solved separately.  A component whose exact search stays within
+    SEARCH_BUDGET gets the score-optimal assignment whose candidate indices
+    are lexicographically smallest over vehicles in ascending id order.  A
+    component that exceeds it is solved by HiGHS: its assignment is optimal
+    to HiGHS's tolerance, and the same tie-break holds among assignments
+    within a relative 1e-9 of that optimum.
     """
     p.validate()
     masks = _masks(p)
@@ -359,15 +687,10 @@ def solve_ilp(p: MatchProblem) -> Matching:
     }
     chosen: dict[int, int] = {}
     for component in _components(p, masks):
-        target = _best_value(component, masks, desc)
-        found = _lex_reconstruct(component, masks, desc, target)
-        if found is None:
-            # The surplus bound is admissible up to float rounding; fall back
-            # to the exact per-vehicle bound if it over-pruned.
-            target = _best_value(component, masks, desc, use_surplus_bound=False)
-            found = _lex_reconstruct(component, masks, desc, target, use_surplus_bound=False)
-            if found is None:
-                raise ContractError("optimal assignment vanished during reconstruction")
+        try:
+            found = _exact_component(component, masks, desc)
+        except _BudgetExceeded:
+            found = _solve_with_highs(component, masks)
         chosen.update(found)
     return _finish(p, chosen)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -142,6 +143,30 @@ def test_run_runtime_failure_exits_3(tmp_path):
     (tmp_path / "req.csv").write_text("0,1,9999\n")
     manifest = write_manifest(tmp_path / "m.json", requests={"path": "req.csv"})
     assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_run_exits_3_when_highs_fails(tmp_path, monkeypatch, capsys):
+    # desk day 32003 (demand seed 32003, fleet seed 33003): window 3 holds a
+    # 14-vehicle component that exceeds the exact search's budget
+    import scipy.optimize
+
+    failed = SimpleNamespace(status=4, message="numerical difficulties", x=None)
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+    monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: failed)
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        window_len=60,
+        horizon=240,
+        seed=32003,
+        matcher="ilp",
+        weights={"beta": 20.0, "delta": 20.0, "passenger_plus": True, "driver_plus": True},
+        network={"grid": {"rows": 6, "cols": 6, "edge_cost": 80.0}},
+        partition={"grid": {"rows_per_area": 3, "cols_per_area": 3}},
+        requests={"profile": {"rates": [[0, 3, 2.7777777777777777], [2, 1, 0.6944444444444444]], "seed": 32003}},
+        fleet={"random": {"size": 20, "capacity": 2, "seed": 33003}},
+    )
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+    assert "HiGHS found no optimum for the component of vehicles" in capsys.readouterr().err
 
 
 def test_sweep_degenerate_matches_run(tmp_path):

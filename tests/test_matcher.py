@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fairdispatch import matcher
 from fairdispatch.errors import InputError, InstanceTooLargeError
 from fairdispatch.matcher import (
     Candidate,
@@ -257,6 +259,15 @@ def test_matching_invariants_hold_structurally():
         assert total == m.total_score
 
 
+def test_matching_maps_exactly_its_vehicles():
+    m = solve_ilp(two_vehicle_example())
+    assert dict(m.chosen) == {1: 2, 2: 1}
+    assert list(m.assigned) == [1, 2]
+    assert 0 not in m.chosen and m.assigned.get(3) is None
+    with pytest.raises(KeyError):
+        m.chosen[0]
+
+
 def test_problem_json_roundtrip():
     p = two_vehicle_example()
     doc = problem_to_json(p)
@@ -265,3 +276,92 @@ def test_problem_json_roundtrip():
     q = problem_from_json(doc)
     assert q == p
     assert solve_ilp(q).total_score == solve_ilp(p).total_score
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def milp_optimum(p: MatchProblem) -> float:
+    """Zero-gap HiGHS optimum of the whole assignment ILP, built independently of the solver."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    columns = [(v, i) for v in p.vehicle_ids for i in range(len(p.candidates[v]))]
+    row = {("vehicle", v): k for k, v in enumerate(p.vehicle_ids)}
+    for rid in sorted(p.batch_ids):
+        row[("request", rid)] = len(row)
+    a = np.zeros((len(row), len(columns)))
+    for j, (v, i) in enumerate(columns):
+        a[row[("vehicle", v)], j] = 1.0
+        for rid in p.candidates[v][i].requests:
+            a[row[("request", rid)], j] = 1.0
+    lower = [1.0 if kind == "vehicle" else 0.0 for kind, _ in row]
+    scores = np.array([p.candidates[v][i].score for v, i in columns])
+    result = milp(
+        -scores,
+        constraints=LinearConstraint(a, lower, 1.0),
+        integrality=np.ones(len(columns)),
+        bounds=Bounds(0.0, 1.0),
+        options={"mip_rel_gap": 0},
+    )
+    assert result.status == 0, result.message
+    return -result.fun
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        # contended-windows capture (city-S, capture seed 0), window 1: a 28-vehicle component
+        "contended-city-S-window1.json",
+        # desk day: demand seed 32003, fleet seed 33003, beta=delta=20 plus, window 3
+        "desk-day32003-window3.json",
+    ],
+)
+def test_budget_overrun_is_solved_by_highs(fixture, monkeypatch):
+    p = problem_from_json(FIXTURES / fixture)
+    handed_over = []
+    highs = matcher._solve_with_highs
+
+    def spy(vehicles, masks):
+        handed_over.append(vehicles)
+        return highs(vehicles, masks)
+
+    monkeypatch.setattr(matcher, "_solve_with_highs", spy)
+    first = solve_ilp(p)
+    assert handed_over, "the exact search stayed within its budget"
+    seen: set[int] = set()
+    for v in p.vehicle_ids:
+        ids = p.candidates[v][first.chosen[v]].requests
+        assert not ids & seen
+        seen |= ids
+    best = milp_optimum(p)
+    assert abs(first.total_score - best) <= 1e-6 * (1.0 + abs(best))
+    assert solve_ilp(p).chosen == first.chosen
+
+
+def test_highs_path_keeps_the_oracle_tie_break(monkeypatch):
+    # with no search budget every component goes to HiGHS
+    monkeypatch.setattr(matcher, "SEARCH_BUDGET", 0)
+    rng = random.Random(4242)
+    for i in range(200):
+        p = random_problem(rng, tie_heavy=(i % 2 == 0))
+        a, b = solve_ilp(p), brute_force_match(p)
+        assert a.chosen == b.chosen, i
+        assert a.total_score == b.total_score, i
+
+
+def test_oracle_tests_never_leave_the_exact_search(monkeypatch):
+    """The oracle-equality tests check the exact search: none of their
+    generated components exceeds the search budget."""
+    from test_acceptance import random_match_problem
+
+    def forbidden(vehicles, masks):
+        raise AssertionError(f"component {vehicles} exceeded the search budget")
+
+    monkeypatch.setattr(matcher, "_solve_with_highs", forbidden)
+    test_solver_matches_oracle_on_random_instances()
+    test_solver_matches_oracle_on_near_tied_scores()
+    test_solver_oracle_property()
+    rng = random.Random(1001)
+    for _ in range(500):
+        solve_ilp(random_match_problem(rng))
