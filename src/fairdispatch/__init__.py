@@ -48,7 +48,6 @@ from .network import (
     load_network,
     load_partition,
     make_grid,
-    shortest_travel_time,
 )
 from .scoring import (
     FairnessSnapshot,

@@ -24,7 +24,7 @@ from .network import (
     make_grid,
 )
 from .scoring import ScoreWeights, ValueFunction, load_pricing, load_value_table
-from .sim import SimConfig
+from .sim import MATCHER_KINDS, SimConfig
 
 _TOP_LEVEL_KEYS = {
     "window_len",
@@ -220,7 +220,7 @@ def load_scenario(path: str | Path) -> Scenario:
         pricing = load_pricing(base / doc["pricing"]["path"])
 
     matcher = doc.get("matcher", "ilp")
-    if matcher not in ("ilp", "async_greedy"):
+    if matcher not in MATCHER_KINDS:
         raise _fail("matcher", f"unknown matcher {matcher!r}")
 
     config = SimConfig(
@@ -229,8 +229,6 @@ def load_scenario(path: str | Path) -> Scenario:
         max_wait=_number(doc, "max_wait", 300.0, minimum=1e-9),
         max_detour=_number(doc, "max_detour", 300.0, minimum=0.0),
         max_bundle=int(_number(doc, "max_bundle", 2, minimum=1)),
-        fleet_size=len(fleet),
-        capacity=max((v.capacity for v in fleet), default=1),
         vfa=_vfa_from(doc, base),
         weights=_weights_from(doc),
         matcher=matcher,

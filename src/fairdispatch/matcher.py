@@ -11,9 +11,9 @@ lexicographically smallest optimal assignment (by candidate index).
 Totals and the per-vehicle bound accumulate one score per vehicle in
 ascending id order; floating-point addition is monotone, so that bound can
 never undercut the total of any assignment beneath it and pruning against
-it is exact even under ties.  A complementary per-request surplus bound
-covers windows where many vehicles contend for few requests; it is
-admissible up to rounding and backed by an exact fallback.
+it is exact even under ties.  A component of one vehicle needs no search:
+it takes the lowest candidate index among its maximum scores, which is
+what both passes return for it.
 
 The passes of one component share a deterministic work budget
 (SEARCH_BUDGET, counted in search nodes times component vehicles, never
@@ -131,27 +131,22 @@ def _masks(p: MatchProblem) -> dict[int, list[tuple[int, float]]]:
     return out
 
 
-def _canonical_total(p: MatchProblem, chosen: Mapping[int, int]) -> float:
-    total = 0.0
-    for v in p.vehicle_ids:
-        total += p.candidates[v][chosen[v]].score
-    return total
-
-
 def _finish(p: MatchProblem, chosen: dict[int, int]) -> Matching:
     if set(chosen) != set(p.vehicle_ids):
         raise ContractError("matching must assign exactly one action per vehicle")
     vehicles = p.vehicle_ids
     indices = tuple(chosen[v] for v in vehicles)
-    requests = tuple(p.candidates[v][i].requests for v, i in zip(vehicles, indices))
+    requests = []
     seen: set[int] = set()
-    for ids in requests:
-        if ids & seen:
-            raise ContractError(f"request served twice: {sorted(ids & seen)}")
-        seen |= ids
-    return Matching(
-        _ByVehicle(vehicles, indices), _ByVehicle(vehicles, requests), _canonical_total(p, chosen)
-    )
+    total = 0.0
+    for v, i in zip(vehicles, indices):
+        picked = p.candidates[v][i]
+        if picked.requests & seen:
+            raise ContractError(f"request served twice: {sorted(picked.requests & seen)}")
+        seen |= picked.requests
+        requests.append(picked.requests)
+        total += picked.score
+    return Matching(_ByVehicle(vehicles, indices), _ByVehicle(vehicles, tuple(requests)), total)
 
 
 def _components(p: MatchProblem, masks: dict[int, list[tuple[int, float]]]) -> list[list[int]]:
@@ -189,69 +184,14 @@ def _first_compatible(desc_rows: list[tuple[int, float]], used: int) -> float:
     raise ContractError("no compatible candidate; the null action should always fit")
 
 
-def _null_score(rows: list[tuple[int, float]]) -> float:
-    return max(score for mask, score in rows if not mask)
-
-
-def _request_surplus(
-    vehicles: list[int], masks: dict[int, list[tuple[int, float]]]
-) -> dict[int, float]:
-    """Per-request-bit cap on the score gained over serving nothing.
-
-    A candidate's surplus over its vehicle's null action is split evenly over
-    its requests; the per-bit maximum of those shares bounds how much any
-    assignment can earn from that request.  Complements the per-vehicle bound,
-    which degenerates when many vehicles contend for few requests.
-    """
-    attr: dict[int, float] = {}
-    for v in vehicles:
-        null = _null_score(masks[v])
-        for mask, score in masks[v]:
-            if not mask:
-                continue
-            share = (score - null) / mask.bit_count()
-            if share <= 0:
-                continue
-            bits = mask
-            while bits:
-                bit = bits & -bits
-                bits ^= bit
-                if share > attr.get(bit, 0.0):
-                    attr[bit] = share
-    return attr
-
-
-_DYADIC_SCALE = float(2**20)
-
-
-def _sums_are_exact(vehicles: list[int], masks: dict[int, list[tuple[int, float]]]) -> bool:
-    """True when every score is a bounded dyadic and bundle sizes are powers of two.
-
-    Under those conditions every subset sum and surplus share the solver forms
-    fits exactly in a float64, so the surplus bound may prune on equality
-    (which is what collapses plateaus of tied assignments).  Otherwise the
-    surplus prune must leave a rounding margin.
-    """
-    for v in vehicles:
-        for mask, score in masks[v]:
-            if abs(score) > _DYADIC_SCALE:
-                return False
-            scaled = score * _DYADIC_SCALE
-            if scaled != int(scaled):
-                return False
-            count = mask.bit_count()
-            if count & (count - 1):
-                return False
-    return True
-
-
 # Work the exact search may spend on one component before HiGHS takes it
 # over, counted as search nodes times component vehicles: every node of
-# `_best_value` scans all vehicles for its bound.  The desk days 0-11 of the
-# criterion-5 scenario peak at 7.4e4 and the easy windows of city-scale
-# greedy runs at 2.3e5, so the budget keeps a 2x margin over every measured
-# component the search finishes; components that run for seconds or
-# minutes reach it after 0.1-0.15 s, which is all the search they waste.
+# `_best_value` scans all vehicles for its bound.  The components the search
+# finishes peak at 4.5e5 on desk days 0-11 of the criterion-5 scenario and
+# at 3.8e5 on the easy windows of city-scale greedy runs.  Sixteen desk
+# components (13-19 vehicles contending for 5-12 requests) exceed it:
+# unbounded, the search took 0.12 s to 418 s on them, and HiGHS takes
+# 7-51 ms each to give the same assignments (CPython 3.11, one Xeon vCPU).
 SEARCH_BUDGET = 5 * 10**5
 
 
@@ -259,43 +199,18 @@ class _BudgetExceeded(Exception):
     """The exact search of one component ran past SEARCH_BUDGET."""
 
 
-class _Budget:
-    """Work left to the exact search of one component; its passes draw on it in turn.
-
-    Each pass keeps the count in a local while it runs and stores it back.
-    """
-
-    def __init__(self) -> None:
-        self.left = SEARCH_BUDGET
-
-
 def _best_value(
-    vehicles: list[int],
-    masks: dict[int, list[tuple[int, float]]],
-    desc: dict[int, list[tuple[int, float]]],
-    budget: _Budget,
-    use_surplus_bound: bool = True,
-) -> float:
-    """Optimal component score via depth-first search in descending-score order."""
+    vehicles: list[int], desc: dict[int, list[tuple[int, float]]], budget: int
+) -> tuple[float, int]:
+    """Optimal component score via depth-first search in descending-score order.
+
+    Returns the score and the part of `budget` the search left unspent.
+    """
     order = sorted(vehicles, key=lambda v: (-desc[v][0][1], v))
     position = {v: i for i, v in enumerate(vehicles)}
     term = [0.0] * len(vehicles)
     decided: dict[int, float] = {}
     best = -inf
-
-    attr = _request_surplus(vehicles, masks) if use_surplus_bound else {}
-    suffix_nulls = [0.0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix_nulls[i] = suffix_nulls[i + 1] + _null_score(masks[order[i]])
-    total_surplus = 0.0
-    for bit in sorted(attr):
-        total_surplus += attr[bit]
-    # With inexact sums the surplus bound may round below a subtree's true
-    # optimum, so it only prunes with this much headroom.
-    if use_surplus_bound and _sums_are_exact(vehicles, masks):
-        slack = 0.0
-    else:
-        slack = 1e-9 * (1.0 + abs(suffix_nulls[0]) + total_surplus)
 
     def vehicle_bound(used: int) -> float:
         for v in vehicles:
@@ -309,9 +224,9 @@ def _best_value(
         return total
 
     work = len(vehicles)
-    left = budget.left
+    left = budget
 
-    def dive(idx: int, used: int, partial: float, free_surplus: float) -> None:
+    def dive(idx: int, used: int) -> None:
         nonlocal best, left
         left -= work
         if left < 0:
@@ -323,27 +238,18 @@ def _best_value(
             if total > best:
                 best = total
             return
-        if use_surplus_bound and partial + suffix_nulls[idx] + free_surplus <= best - slack:
-            return
         if vehicle_bound(used) <= best:
             return
         v = order[idx]
         for mask, score in desc[v]:
             if mask & used:
                 continue
-            claimed_surplus = 0.0
-            bits = mask
-            while bits:
-                bit = bits & -bits
-                bits ^= bit
-                claimed_surplus += attr.get(bit, 0.0)
             decided[v] = score
-            dive(idx + 1, used | mask, partial + score, free_surplus - claimed_surplus)
+            dive(idx + 1, used | mask)
             del decided[v]
 
-    dive(0, 0, 0.0, total_surplus)
-    budget.left = left
-    return best
+    dive(0, 0)
+    return best, left
 
 
 def _lex_reconstruct(
@@ -351,26 +257,14 @@ def _lex_reconstruct(
     masks: dict[int, list[tuple[int, float]]],
     desc: dict[int, list[tuple[int, float]]],
     target: float,
-    budget: _Budget,
-    use_surplus_bound: bool = True,
+    budget: int,
 ) -> dict[int, int] | None:
     """First assignment in lexicographic index order achieving the optimum.
 
     Acceptance is the exact float equality `partial == target`, so the
-    tie-breaking rule is unaffected by pruning; the surplus prune carries a
-    safety margin because that bound is exactly tight along optimal branches
-    and must not lose them to rounding.
+    tie-breaking rule is unaffected by pruning.
     """
     chosen: dict[int, int] = {}
-
-    attr = _request_surplus(vehicles, masks) if use_surplus_bound else {}
-    if use_surplus_bound and _sums_are_exact(vehicles, masks):
-        margin = 0.0
-    else:
-        margin = 1e-6 * (1.0 + abs(target))
-    suffix_nulls = [0.0] * (len(vehicles) + 1)
-    for i in range(len(vehicles) - 1, -1, -1):
-        suffix_nulls[i] = suffix_nulls[i + 1] + _null_score(masks[vehicles[i]])
 
     def vehicle_bound(idx: int, partial: float, used: int) -> float:
         total = partial
@@ -379,9 +273,9 @@ def _lex_reconstruct(
         return total
 
     work = len(vehicles)
-    left = budget.left
+    left = budget
 
-    def dive(idx: int, partial: float, used: int, free_surplus: float) -> bool:
+    def dive(idx: int, partial: float, used: int) -> bool:
         nonlocal left
         left -= work
         if left < 0:
@@ -392,54 +286,30 @@ def _lex_reconstruct(
         for i, (mask, score) in enumerate(masks[v]):
             if mask & used:
                 continue
-            claimed_surplus = 0.0
-            bits = mask
-            while bits:
-                bit = bits & -bits
-                bits ^= bit
-                claimed_surplus += attr.get(bit, 0.0)
             next_partial = partial + score
-            if (
-                use_surplus_bound
-                and next_partial + suffix_nulls[idx + 1] + free_surplus - claimed_surplus
-                < target - margin
-            ):
-                continue
             if vehicle_bound(idx + 1, next_partial, used | mask) < target:
                 continue
             chosen[v] = i
-            if dive(idx + 1, next_partial, used | mask, free_surplus - claimed_surplus):
+            if dive(idx + 1, next_partial, used | mask):
                 return True
         chosen.pop(v, None)
         return False
 
-    total_surplus = 0.0
-    for bit in sorted(attr):
-        total_surplus += attr[bit]
-    found = dive(0, 0.0, 0, total_surplus)
-    budget.left = left
-    return chosen if found else None
+    return chosen if dive(0, 0.0, 0) else None
 
 
 def _exact_component(
-    vehicles: list[int],
-    masks: dict[int, list[tuple[int, float]]],
-    desc: dict[int, list[tuple[int, float]]],
+    vehicles: list[int], masks: dict[int, list[tuple[int, float]]]
 ) -> dict[int, int]:
     """Lexicographically smallest optimal assignment of one component.
 
     Raises _BudgetExceeded once the passes together spend SEARCH_BUDGET.
     """
-    budget = _Budget()
-    target = _best_value(vehicles, masks, desc, budget)
-    found = _lex_reconstruct(vehicles, masks, desc, target, budget)
+    desc = {v: sorted(masks[v], key=lambda row: -row[1]) for v in vehicles}
+    target, left = _best_value(vehicles, desc, SEARCH_BUDGET)
+    found = _lex_reconstruct(vehicles, masks, desc, target, left)
     if found is None:
-        # The surplus bound is admissible up to float rounding; fall back
-        # to the exact per-vehicle bound if it over-pruned.
-        target = _best_value(vehicles, masks, desc, budget, use_surplus_bound=False)
-        found = _lex_reconstruct(vehicles, masks, desc, target, budget, use_surplus_bound=False)
-        if found is None:
-            raise ContractError("optimal assignment vanished during reconstruction")
+        raise ContractError("optimal assignment vanished during reconstruction")
     return found
 
 
@@ -673,22 +543,25 @@ def solve_ilp(p: MatchProblem) -> Matching:
     """Optimal matching with deterministic tie-breaking.
 
     Vehicles that share no requests form independent components and are
-    solved separately.  A component whose exact search stays within
-    SEARCH_BUDGET gets the score-optimal assignment whose candidate indices
-    are lexicographically smallest over vehicles in ascending id order.  A
-    component that exceeds it is solved by HiGHS: its assignment is optimal
-    to HiGHS's tolerance, and the same tie-break holds among assignments
-    within a relative 1e-9 of that optimum.
+    solved separately.  A one-vehicle component takes the lowest candidate
+    index among its maximum scores.  A larger component whose exact search
+    stays within SEARCH_BUDGET gets the score-optimal assignment whose
+    candidate indices are lexicographically smallest over vehicles in
+    ascending id order.  A component that exceeds it is solved by HiGHS:
+    its assignment is optimal to HiGHS's tolerance, and the same tie-break
+    holds among assignments within a relative 1e-9 of that optimum.
     """
     p.validate()
     masks = _masks(p)
-    desc = {
-        v: sorted(masks[v], key=lambda row: -row[1]) for v in p.vehicle_ids
-    }
     chosen: dict[int, int] = {}
     for component in _components(p, masks):
+        if len(component) == 1:
+            v = component[0]
+            scores = [score for _, score in masks[v]]
+            chosen[v] = scores.index(max(scores))
+            continue
         try:
-            found = _exact_component(component, masks, desc)
+            found = _exact_component(component, masks)
         except _BudgetExceeded:
             found = _solve_with_highs(component, masks)
         chosen.update(found)

@@ -65,11 +65,6 @@ class StreetNetwork:
         return self.locations[hop]
 
 
-def shortest_travel_time(net: StreetNetwork, origin: int, dest: int) -> float:
-    """Shortest directed travel time in seconds (0 when origin == dest)."""
-    return net.travel_time(origin, dest)
-
-
 def from_edges(
     locations: Iterable[int], edges: Iterable[tuple[int, int, float]]
 ) -> StreetNetwork:

@@ -57,8 +57,6 @@ class SimConfig:
     max_wait: float = 300.0
     max_detour: float = 300.0
     max_bundle: int = 2
-    fleet_size: int = 20
-    capacity: int = 2
     vfa: ValueFunction = field(default_factory=ValueFunction)
     weights: ScoreWeights = field(default_factory=ScoreWeights)
     matcher: str = "ilp"
@@ -384,15 +382,13 @@ class TheoremOutcome:
         return self.unfair_at_zero and self.improved
 
 
-def _single_window_config(seed: int, pricing: dict[int, float], fleet_size: int) -> SimConfig:
+def _single_window_config(seed: int, pricing: dict[int, float]) -> SimConfig:
     return SimConfig(
         window_len=60.0,
         horizon=60.0,
         max_wait=300.0,
         max_detour=300.0,
         max_bundle=1,
-        fleet_size=fleet_size,
-        capacity=1,
         vfa=ValueFunction(kind="zero"),
         weights=ScoreWeights(),
         matcher="ilp",
@@ -488,7 +484,7 @@ def build_passenger_min_unfair_instance(seed: int) -> PassengerTheoremInstance:
         passenger_history=history,
         pricing=pricing,
         expected_group=bad_group,
-        config=_single_window_config(seed, pricing, len(fleet)),
+        config=_single_window_config(seed, pricing),
     )
 
 
@@ -558,7 +554,7 @@ def build_driver_min_unfair_instance(seed: int) -> DriverTheoremInstance:
         driver_history=DriverHistory(incomes),
         pricing=pricing,
         expected_driver=0,
-        config=_single_window_config(seed, pricing, len(fleet)),
+        config=_single_window_config(seed, pricing),
     )
 
 

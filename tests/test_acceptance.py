@@ -85,8 +85,6 @@ def test_criterion_2_zero_weight_reduction():
         cfg = SimConfig(
             window_len=60.0,
             horizon=600.0,
-            fleet_size=len(fleet),
-            capacity=2,
             seed=trial,
             weights=ScoreWeights(0.0, 0.0),
         )
@@ -160,7 +158,7 @@ def trend_scenario(seed: int):
     )
     requests = synth_requests(profile, net, part)
     fleet = random_fleet(20, 2, net, seed=seed + 1000)
-    cfg = SimConfig(window_len=60.0, horizon=86400.0, fleet_size=20, capacity=2, seed=seed)
+    cfg = SimConfig(window_len=60.0, horizon=86400.0, seed=seed)
     return net, part, requests, fleet, cfg
 
 

@@ -340,7 +340,7 @@ def test_budget_overrun_is_solved_by_highs(fixture, monkeypatch):
 
 
 def test_highs_path_keeps_the_oracle_tie_break(monkeypatch):
-    # with no search budget every component goes to HiGHS
+    # with no search budget every component of two or more vehicles goes to HiGHS
     monkeypatch.setattr(matcher, "SEARCH_BUDGET", 0)
     rng = random.Random(4242)
     for i in range(200):
@@ -348,6 +348,45 @@ def test_highs_path_keeps_the_oracle_tie_break(monkeypatch):
         a, b = solve_ilp(p), brute_force_match(p)
         assert a.chosen == b.chosen, i
         assert a.total_score == b.total_score, i
+
+
+def test_one_vehicle_components_take_their_lowest_top_index(monkeypatch):
+    """One-vehicle components are solved without the search or HiGHS, and
+    still agree with the oracle under tied maxima and ties with the null."""
+
+    def forbidden(vehicles, masks):
+        raise AssertionError(f"component {vehicles} was handed to HiGHS")
+
+    monkeypatch.setattr(matcher, "SEARCH_BUDGET", 0)
+    monkeypatch.setattr(matcher, "_solve_with_highs", forbidden)
+    tied = problem(
+        {
+            0: [NULL, Candidate(frozenset({1}), 0.0)],
+            1: [Candidate(frozenset({2}), 1.0), NULL, Candidate(frozenset({3}), 2.0),
+                Candidate(frozenset({2, 3}), 2.0)],
+            2: [Candidate(frozenset({4}), -1.0), Candidate(frozenset(), -1.0)],
+        },
+        [1, 2, 3, 4],
+    )
+    problems = [tied]
+    rng = random.Random(6060)
+    for _ in range(300):
+        cands, batch = {}, []
+        for v in range(rng.randint(1, 6)):
+            own = [10 * v + k for k in range(rng.randint(0, 3))]
+            batch += own
+            pool = [frozenset(c) for k in (1, 2) for c in combinations(own, k)]
+            picked = rng.sample(pool, rng.randint(0, len(pool)))
+            rows = [Candidate(ids, float(rng.randint(-1, 2))) for ids in picked]
+            null = Candidate(frozenset(), float(rng.randint(-1, 1)))
+            rows.insert(rng.randint(0, len(rows)), null)
+            cands[v] = rows
+        problems.append(MatchProblem.build(cands, batch))
+    for i, p in enumerate(problems):
+        a, b = solve_ilp(p), brute_force_match(p)
+        assert a.chosen == b.chosen, i
+        assert a.total_score == b.total_score, i
+    assert dict(solve_ilp(tied).chosen) == {0: 0, 1: 2, 2: 0}
 
 
 def test_oracle_tests_never_leave_the_exact_search(monkeypatch):

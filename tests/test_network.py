@@ -16,7 +16,6 @@ from fairdispatch.network import (
     load_network,
     load_partition,
     make_grid,
-    shortest_travel_time,
 )
 
 
@@ -42,24 +41,24 @@ def brute_force_shortest(locations, edges, origin, dest):
 
 def test_travel_time_identity(grid3):
     for loc in grid3.locations:
-        assert shortest_travel_time(grid3, loc, loc) == 0.0
+        assert grid3.travel_time(loc, loc) == 0.0
 
 
 def test_grid_corner_to_corner_matches_enumeration(grid3):
     expected = brute_force_shortest(grid3.locations, grid3.edges, 0, 8)
     assert expected == 4.0
-    assert shortest_travel_time(grid3, 0, 8) == 4.0
+    assert grid3.travel_time(0, 8) == 4.0
 
 
 def test_disconnected_pair_unreachable():
     net = from_edges([0, 1, 2, 3], [(0, 1, 5.0), (1, 0, 5.0), (2, 3, 1.0), (3, 2, 1.0)])
-    assert shortest_travel_time(net, 0, 2) == UNREACHABLE
-    assert shortest_travel_time(net, 0, 1) == 5.0
+    assert net.travel_time(0, 2) == UNREACHABLE
+    assert net.travel_time(0, 1) == 5.0
 
 
 def test_unknown_location_rejected(grid3):
     with pytest.raises(InputError):
-        shortest_travel_time(grid3, 0, 99)
+        grid3.travel_time(0, 99)
 
 
 def test_make_grid_degenerate():
@@ -81,7 +80,7 @@ def test_make_grid_all_pairs_reachable():
     net = make_grid(3, 3, 30.0)
     for a in net.locations:
         for b in net.locations:
-            assert shortest_travel_time(net, a, b) < UNREACHABLE
+            assert net.travel_time(a, b) < UNREACHABLE
 
 
 def test_make_grid_rejects_bad_args():
@@ -97,7 +96,7 @@ def test_load_network_minimal(tmp_path):
     net = load_network(path)
     assert len(net.locations) == 2
     assert len(net.edges) == 2
-    assert shortest_travel_time(net, 0, 1) == 60.0
+    assert net.travel_time(0, 1) == 60.0
 
 
 def test_load_network_negative_cost_names_line(tmp_path):
@@ -135,7 +134,7 @@ def test_dijkstra_matches_enumeration_on_random_graphs():
         net = from_edges(locations, edges)
         for _ in range(5):
             a, b = rng.randint(0, n - 1), rng.randint(0, n - 1)
-            assert shortest_travel_time(net, a, b) == brute_force_shortest(
+            assert net.travel_time(a, b) == brute_force_shortest(
                 locations, edges, a, b
             )
 
@@ -146,8 +145,8 @@ def test_triangle_inequality():
     locs = net.locations
     for _ in range(200):
         a, b, c = (locs[rng.randrange(len(locs))] for _ in range(3))
-        assert shortest_travel_time(net, a, c) <= (
-            shortest_travel_time(net, a, b) + shortest_travel_time(net, b, c)
+        assert net.travel_time(a, c) <= (
+            net.travel_time(a, b) + net.travel_time(b, c)
         )
 
 
@@ -156,9 +155,9 @@ def test_next_hop_walks_shortest_path(grid3):
     pos, walked = 0, 0.0
     while pos != 8:
         nxt = grid3.next_hop(pos, 8)
-        walked += shortest_travel_time(grid3, pos, nxt)
+        walked += grid3.travel_time(pos, nxt)
         pos = nxt
-    assert walked == shortest_travel_time(grid3, 0, 8)
+    assert walked == grid3.travel_time(0, 8)
 
 
 def test_partition_basics():
@@ -219,8 +218,8 @@ def test_load_partition_roundtrip(tmp_path):
 
 def test_asymmetric_costs_supported():
     net = from_edges([0, 1], [(0, 1, 10.0), (1, 0, 99.0)])
-    assert shortest_travel_time(net, 0, 1) == 10.0
-    assert shortest_travel_time(net, 1, 0) == 99.0
+    assert net.travel_time(0, 1) == 10.0
+    assert net.travel_time(1, 0) == 99.0
 
 
 def test_from_edges_rejects_undeclared_endpoint():

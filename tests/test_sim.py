@@ -27,8 +27,6 @@ def small_cfg(**overrides):
     defaults = dict(
         window_len=60.0,
         horizon=1800.0,
-        fleet_size=3,
-        capacity=2,
         seed=5,
     )
     defaults.update(overrides)
@@ -63,7 +61,7 @@ def test_single_request_adjacent_vehicle():
     part = grid_partition(1, 3, 1, 3)
     requests = [Request(0, 1, 2, 10.0, GroupId(0, 0))]
     fleet = [VehicleState(0, 0, capacity=1)]
-    cfg = SimConfig(window_len=60.0, horizon=300.0, fleet_size=1, capacity=1, seed=0)
+    cfg = SimConfig(window_len=60.0, horizon=300.0, seed=0)
     result = run_simulation(cfg, net, part, requests, fleet)
     assert result.service_rate == 1.0
     assert result.driver_history.incomes[0] == 1.0
@@ -123,8 +121,8 @@ def test_history_snapshot_used_within_window():
         Request(1, 2, 0, 0.0, GroupId(0, 0)),
     ]
     fleet = [VehicleState(0, 1, capacity=1)]
-    cfg = SimConfig(window_len=60.0, horizon=60.0, fleet_size=1, capacity=1,
-                    max_bundle=1, seed=0, weights=ScoreWeights(beta=5.0))
+    cfg = SimConfig(window_len=60.0, horizon=60.0, max_bundle=1, seed=0,
+                    weights=ScoreWeights(beta=5.0))
     result = run_simulation(cfg, net, part, requests, fleet, record_trace=True)
     assert result.matchings[0][0] == (0,)
 
@@ -280,7 +278,6 @@ def test_theorem_ladder_is_the_documented_one():
 
 def test_single_window_config_honours_theorem_preconditions():
     inst = build_passenger_min_unfair_instance(0)
-    assert inst.config.capacity == 1
     assert inst.config.max_bundle == 1
     assert inst.config.n_windows == 1
     assert all(v.capacity == 1 for v in inst.fleet)
