@@ -1,6 +1,6 @@
 """Ridesharing dispatch simulator with ILP matching and fairness incentives."""
 
-from .demand import DemandProfile, Request, batch, load_requests, synth_requests
+from .demand import DemandProfile, Request, load_requests, synth_requests
 from .errors import (
     ConfigError,
     ContractError,

@@ -1,0 +1,33 @@
+"""The record reader behind every comma-separated input file."""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Callable, Iterator
+
+from .errors import ParseError
+
+
+def read_records(
+    path: str | Path, layout: str, types: tuple[Callable[[str], object], ...], optional: int = 0
+) -> Iterator[tuple[str, list]]:
+    """Yield `(where, values)` for each record of a comma-separated file.
+
+    Blank lines and lines starting with '#' are skipped.  A record holds one
+    field per entry of `types`, converted by it, plus up to `optional`
+    trailing fields that are ignored.  `where` is `path:line`, which every
+    ParseError raised here names and the caller's own checks should too.
+    """
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        where = f"{path}:{lineno}"
+        if not len(types) <= len(parts) <= len(types) + optional:
+            raise ParseError(f"{where}: expected '{layout}', got {raw!r}")
+        try:
+            values = [convert(part) for convert, part in zip(types, parts)]
+        except ValueError:
+            raise ParseError(f"{where}: non-numeric field in {raw!r}") from None
+        yield where, values

@@ -1,4 +1,4 @@
-"""Passenger request streams: CSV replay, synthetic generation, batching."""
+"""Passenger request streams: CSV replay and synthetic generation."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._records import read_records
 from .errors import ConfigError, InputError, ParseError
 from .network import AreaPartition, GroupId, StreetNetwork, group_of
 
@@ -53,24 +54,14 @@ def load_requests(path: str | Path, partition: AreaPartition) -> list[Request]:
     """
     out: list[Request] = []
     next_id = 0
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) not in (3, 4):
-            raise ParseError(f"{path}:{lineno}: expected 'pickup,dropoff,arrival', got {raw!r}")
-        try:
-            pickup, dropoff = int(parts[0]), int(parts[1])
-            arrival = float(parts[2])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric field in {raw!r}") from None
+    records = read_records(path, "pickup,dropoff,arrival", (int, int, float), optional=1)
+    for where, (pickup, dropoff, arrival) in records:
         try:
             request = Request(
                 next_id, pickup, dropoff, arrival, group_of(partition, pickup, dropoff)
             )
         except InputError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+            raise ParseError(f"{where}: {exc}") from None
         out.append(request)
         next_id += 1
     out.sort(key=lambda r: (r.arrival, r.id))
@@ -126,11 +117,3 @@ def synth_requests(
         Request(i, pickup, dropoff, arrival, group_of(partition, pickup, dropoff))
         for i, (arrival, pickup, dropoff) in enumerate(drawn)
     ]
-
-
-def batch(requests: list[Request], window_start: float, window_len: float) -> list[Request]:
-    """Requests with window_start <= arrival < window_start + window_len."""
-    if not window_len > 0:
-        raise InputError(f"window length must be positive, got {window_len}")
-    end = window_start + window_len
-    return [r for r in requests if window_start <= r.arrival < end]

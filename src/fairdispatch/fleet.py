@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._records import read_records
 from .demand import Request
 from .errors import ContractError, InputError, ParseError
 from .network import StreetNetwork
@@ -105,10 +106,6 @@ class Action:
         if not self.requests:
             return _NO_REQUESTS
         return frozenset(r.id for r in self.requests)
-
-    @property
-    def is_null(self) -> bool:
-        return not self.requests
 
 
 def null_action(v: VehicleState) -> Action:
@@ -361,24 +358,13 @@ def advance(
 
 def load_fleet(path: str | Path, net: StreetNetwork) -> list[VehicleState]:
     """Parse a fleet CSV: `vehicle_id,start_location,capacity`."""
-    lines = Path(path).read_text().splitlines()
     fleet: list[VehicleState] = []
     seen: set[int] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 'id,start,capacity', got {raw!r}")
-        try:
-            vid, start, capacity = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric field in {raw!r}") from None
+    for where, (vid, start, capacity) in read_records(path, "id,start,capacity", (int, int, int)):
         if vid in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate vehicle id {vid}")
+            raise ParseError(f"{where}: duplicate vehicle id {vid}")
         if start not in net:
-            raise ParseError(f"{path}:{lineno}: unknown start location {start}")
+            raise ParseError(f"{where}: unknown start location {start}")
         seen.add(vid)
         fleet.append(VehicleState(vid, start, capacity))
     fleet.sort(key=lambda veh: veh.id)

@@ -23,7 +23,7 @@ from .network import (
     load_partition,
     make_grid,
 )
-from .scoring import ScoreWeights, ValueFunction, load_pricing, load_value_table
+from .scoring import VFA_KINDS, ScoreWeights, ValueFunction, load_pricing, load_value_table
 from .sim import MATCHER_KINDS, SimConfig
 
 _TOP_LEVEL_KEYS = {
@@ -103,7 +103,7 @@ def _vfa_from(doc: dict, base: Path) -> ValueFunction:
     if not isinstance(spec, dict):
         raise _fail("vfa", "expected an object")
     kind = spec.get("kind", "zero")
-    if kind not in ("zero", "delay", "table"):
+    if kind not in VFA_KINDS:
         raise _fail("vfa.kind", f"unknown kind {kind!r}")
     table = {}
     if kind == "table":

@@ -3,19 +3,19 @@
 The assignment problem picks exactly one candidate action per vehicle so
 that no request is served twice, maximising the summed scores.  The exact
 solver decomposes the problem into components of vehicles linked by shared
-requests and runs two depth-first passes per component: a value pass over
-vehicles in descending best-score order to establish the optimum, then a
-reconstruction pass in ascending vehicle order that returns the
-lexicographically smallest optimal assignment (by candidate index).
+requests and runs one depth-first branch-and-bound per component, over
+vehicles in ascending id order, that returns the lexicographically
+smallest optimal assignment (by candidate index).
 
 Totals and the per-vehicle bound accumulate one score per vehicle in
 ascending id order; floating-point addition is monotone, so that bound can
-never undercut the total of any assignment beneath it and pruning against
-it is exact even under ties.  A component of one vehicle needs no search:
-it takes the lowest candidate index among its maximum scores, which is
-what both passes return for it.
+never undercut the total of any assignment beneath it, and pruning against
+the incumbent (strictly below its total, or equal to it under a
+lexicographically greater index prefix) is exact even under ties.  A
+component of one vehicle needs no search: it takes the lowest candidate
+index among its maximum scores, which is what the search returns for it.
 
-The passes of one component share a deterministic work budget
+The search of one component has a deterministic work budget
 (SEARCH_BUDGET, counted in search nodes times component vehicles, never
 in wall time).  A component that exceeds it is solved by HiGHS through
 scipy instead: LP relaxations and zero-gap MILPs give the optimum, and
@@ -177,21 +177,16 @@ def _components(p: MatchProblem, masks: dict[int, list[tuple[int, float]]]) -> l
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
-def _first_compatible(desc_rows: list[tuple[int, float]], used: int) -> float:
-    for mask, score in desc_rows:
-        if not mask & used:
-            return score
-    raise ContractError("no compatible candidate; the null action should always fit")
-
-
 # Work the exact search may spend on one component before HiGHS takes it
-# over, counted as search nodes times component vehicles: every node of
-# `_best_value` scans all vehicles for its bound.  The components the search
-# finishes peak at 4.5e5 on desk days 0-11 of the criterion-5 scenario and
-# at 3.8e5 on the easy windows of city-scale greedy runs.  Sixteen desk
-# components (13-19 vehicles contending for 5-12 requests) exceed it:
-# unbounded, the search took 0.12 s to 418 s on them, and HiGHS takes
-# 7-51 ms each to give the same assignments (CPython 3.11, one Xeon vCPU).
+# over, counted as search nodes times component vehicles: the bound of every
+# node scans the vehicles after it.  The components the search finishes peak
+# at 4.3e5 on desk days 0-11 of the criterion-5 scenario and at 4.2e4 on 200
+# windows captured from city-scale greedy runs, whose ten largest contended
+# components (18-101 vehicles) hand over.  Thirteen desk components (13-19
+# vehicles contending for 5-12 requests) exceed it after 0.08-0.49 s of
+# search: unbounded, twelve of them took 0.1-4.7 s and one ran past 100
+# times the budget, while HiGHS takes 11-59 ms each to give the same
+# assignments (CPython 3.11, one Xeon vCPU).
 SEARCH_BUDGET = 5 * 10**5
 
 
@@ -199,118 +194,57 @@ class _BudgetExceeded(Exception):
     """The exact search of one component ran past SEARCH_BUDGET."""
 
 
-def _best_value(
-    vehicles: list[int], desc: dict[int, list[tuple[int, float]]], budget: int
-) -> tuple[float, int]:
-    """Optimal component score via depth-first search in descending-score order.
-
-    Returns the score and the part of `budget` the search left unspent.
-    """
-    order = sorted(vehicles, key=lambda v: (-desc[v][0][1], v))
-    position = {v: i for i, v in enumerate(vehicles)}
-    term = [0.0] * len(vehicles)
-    decided: dict[int, float] = {}
-    best = -inf
-
-    def vehicle_bound(used: int) -> float:
-        for v in vehicles:
-            if v in decided:
-                term[position[v]] = decided[v]
-            else:
-                term[position[v]] = _first_compatible(desc[v], used)
-        total = 0.0
-        for value in term:
-            total += value
-        return total
-
-    work = len(vehicles)
-    left = budget
-
-    def dive(idx: int, used: int) -> None:
-        nonlocal best, left
-        left -= work
-        if left < 0:
-            raise _BudgetExceeded
-        if idx == len(order):
-            total = 0.0
-            for v in vehicles:
-                total += decided[v]
-            if total > best:
-                best = total
-            return
-        if vehicle_bound(used) <= best:
-            return
-        v = order[idx]
-        for mask, score in desc[v]:
-            if mask & used:
-                continue
-            decided[v] = score
-            dive(idx + 1, used | mask)
-            del decided[v]
-
-    dive(0, 0)
-    return best, left
-
-
-def _lex_reconstruct(
-    vehicles: list[int],
-    masks: dict[int, list[tuple[int, float]]],
-    desc: dict[int, list[tuple[int, float]]],
-    target: float,
-    budget: int,
-) -> dict[int, int] | None:
-    """First assignment in lexicographic index order achieving the optimum.
-
-    Acceptance is the exact float equality `partial == target`, so the
-    tie-breaking rule is unaffected by pruning.
-    """
-    chosen: dict[int, int] = {}
-
-    def vehicle_bound(idx: int, partial: float, used: int) -> float:
-        total = partial
-        for v in vehicles[idx:]:
-            total += _first_compatible(desc[v], used)
-        return total
-
-    work = len(vehicles)
-    left = budget
-
-    def dive(idx: int, partial: float, used: int) -> bool:
-        nonlocal left
-        left -= work
-        if left < 0:
-            raise _BudgetExceeded
-        if idx == len(vehicles):
-            return partial == target
-        v = vehicles[idx]
-        for i, (mask, score) in enumerate(masks[v]):
-            if mask & used:
-                continue
-            next_partial = partial + score
-            if vehicle_bound(idx + 1, next_partial, used | mask) < target:
-                continue
-            chosen[v] = i
-            if dive(idx + 1, next_partial, used | mask):
-                return True
-        chosen.pop(v, None)
-        return False
-
-    return chosen if dive(0, 0.0, 0) else None
-
-
 def _exact_component(
     vehicles: list[int], masks: dict[int, list[tuple[int, float]]]
 ) -> dict[int, int]:
     """Lexicographically smallest optimal assignment of one component.
 
-    Raises _BudgetExceeded once the passes together spend SEARCH_BUDGET.
+    One depth-first search over the vehicles in ascending id order, trying
+    each vehicle's candidates best score first.  A leaf replaces the
+    incumbent when its total is larger, or equal with lexicographically
+    smaller indices.  A child is pruned when its bound falls below the
+    incumbent's total, or equals it under an index prefix lexicographically
+    greater than the incumbent's.  Raises _BudgetExceeded once the search
+    spends SEARCH_BUDGET.
     """
-    desc = {v: sorted(masks[v], key=lambda row: -row[1]) for v in vehicles}
-    target, left = _best_value(vehicles, desc, SEARCH_BUDGET)
-    found = _lex_reconstruct(vehicles, masks, desc, target, left)
-    if found is None:
-        raise ContractError("optimal assignment vanished during reconstruction")
-    return found
+    desc = [
+        sorted(((mask, score, i) for i, (mask, score) in enumerate(masks[v])), key=lambda row: -row[1])
+        for v in vehicles
+    ]
+    n = len(vehicles)
+    indices = [0] * n
+    best = -inf
+    best_indices: list[int] = []
+    left = SEARCH_BUDGET
+
+    def dive(idx: int, partial: float, used: int) -> None:
+        nonlocal best, best_indices, left
+        left -= n
+        if left < 0:
+            raise _BudgetExceeded
+        if idx == n:
+            # The prune below lets only a better assignment reach a leaf.
+            best, best_indices = partial, indices[:]
+            return
+        rest = desc[idx + 1 :]
+        for mask, score, i in desc[idx]:
+            if mask & used:
+                continue
+            indices[idx] = i
+            total = partial + score
+            taken = used | mask
+            bound = total
+            for rows in rest:
+                for other_mask, other_score, _ in rows:
+                    if not other_mask & taken:  # the null candidate always fits
+                        bound += other_score
+                        break
+            if bound < best or (bound == best and indices[: idx + 1] > best_indices[: idx + 1]):
+                continue
+            dive(idx + 1, total, taken)
+
+    dive(0, 0.0, 0)
+    return dict(zip(vehicles, best_indices))
 
 
 # Relative score margin within which the HiGHS path treats a total as
@@ -547,7 +481,9 @@ def solve_ilp(p: MatchProblem) -> Matching:
     index among its maximum scores.  A larger component whose exact search
     stays within SEARCH_BUDGET gets the score-optimal assignment whose
     candidate indices are lexicographically smallest over vehicles in
-    ascending id order.  A component that exceeds it is solved by HiGHS:
+    ascending id order; the search takes the vehicles in that order and
+    keeps the first such assignment it proves, with no second pass.  A
+    component that exceeds the budget is solved by HiGHS:
     its assignment is optimal to HiGHS's tolerance, and the same tie-break
     holds among assignments within a relative 1e-9 of that optimum.
     """

@@ -55,12 +55,6 @@ class PassengerHistory:
             return 0.0
         return fsum(self.service_rate(g) for g in groups) / len(groups)
 
-    def rate_or_mean(self, group: GroupId) -> float:
-        """Service rate of the group, falling back to the mean for unseen groups."""
-        if self.requested.get(group, 0) > 0:
-            return self.service_rate(group)
-        return self.mean_rate()
-
     def totals(self) -> tuple[int, int]:
         return sum(self.requested.values()), sum(self.served.values())
 
@@ -184,14 +178,6 @@ def equity_report(history: PassengerHistory | DriverHistory) -> EquityReport:
         variance=_population_variance(scaled),
         overall_service_rate=None,
     )
-
-
-def parity_violations(values: Sequence[float], epsilon: float) -> int:
-    """Number of entries whose gap to the mean exceeds the slack epsilon."""
-    if not values:
-        raise InputError("parity check requires at least one value")
-    mean = fsum(values) / len(values)
-    return sum(1 for v in values if abs(mean - v) > epsilon)
 
 
 METRICS_COLUMNS = (

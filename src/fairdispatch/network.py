@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
+from ._records import read_records
 from .errors import InputError, ParseError
 
 UNREACHABLE = math.inf
@@ -140,20 +141,9 @@ def load_network(path: str | Path) -> StreetNetwork:
     """Parse an edge-list CSV: `from_id,to_id,cost_seconds`, '#' comments allowed."""
     locations: set[int] = set()
     edges: list[tuple[int, int, float]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 'from,to,cost', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            cost = float(parts[2])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric field in {raw!r}") from None
+    for where, (u, v, cost) in read_records(path, "from,to,cost", (int, int, float)):
         if not (cost > 0 and math.isfinite(cost)):
-            raise ParseError(f"{path}:{lineno}: edge cost must be positive, got {cost}")
+            raise ParseError(f"{where}: edge cost must be positive, got {cost}")
         locations.update((u, v))
         edges.append((u, v, cost))
     return from_edges(locations, edges)
@@ -211,19 +201,9 @@ def grid_partition(
 def load_partition(path: str | Path) -> AreaPartition:
     """Parse a partition CSV: `location_id,area_id`, '#' comments allowed."""
     area_of: dict[int, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'location,area', got {raw!r}")
-        try:
-            loc, area = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric field in {raw!r}") from None
+    for where, (loc, area) in read_records(path, "location,area", (int, int)):
         if loc in area_of:
-            raise ParseError(f"{path}:{lineno}: duplicate location {loc}")
+            raise ParseError(f"{where}: duplicate location {loc}")
         area_of[loc] = area
     if not area_of:
         raise ParseError(f"{path}: partition file is empty")

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from ._records import read_records
 from .errors import ConfigError, InputError, ParseError
 from .fleet import Action, VehicleState
 from .metrics import DriverHistory, PassengerHistory
@@ -187,36 +188,17 @@ def total_score(
 def load_value_table(path: str | Path) -> dict[tuple[int, int, int], float]:
     """Parse a value-table CSV: `area_id,onboard_count,hour_bucket,value`."""
     table: dict[tuple[int, int, int], float] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"{path}:{lineno}: expected 'area,onboard,bucket,value', got {raw!r}")
-        try:
-            key = (int(parts[0]), int(parts[1]), int(parts[2]))
-            table[key] = float(parts[3])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric field in {raw!r}") from None
+    records = read_records(path, "area,onboard,bucket,value", (int, int, int, float))
+    for _, (area, onboard, bucket, value) in records:
+        table[area, onboard, bucket] = value
     return table
 
 
 def load_pricing(path: str | Path) -> dict[int, float]:
     """Parse a pricing CSV: `request_id,value`."""
     pricing: dict[int, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'request_id,value', got {raw!r}")
-        try:
-            value = float(parts[1])
-            pricing[int(parts[0])] = value
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric field in {raw!r}") from None
+    for where, (rid, value) in read_records(path, "request_id,value", (int, float)):
         if value < 0:
-            raise ParseError(f"{path}:{lineno}: request values must be nonnegative")
+            raise ParseError(f"{where}: request values must be nonnegative")
+        pricing[rid] = value
     return pricing

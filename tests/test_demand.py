@@ -4,9 +4,12 @@ import math
 
 import pytest
 
-from fairdispatch.demand import DemandProfile, Request, batch, load_requests, synth_requests
+import fairdispatch.sim as sim_module
+from fairdispatch.demand import DemandProfile, Request, load_requests, synth_requests
 from fairdispatch.errors import ConfigError, InputError, ParseError
-from fairdispatch.network import GroupId
+from fairdispatch.fleet import VehicleState
+from fairdispatch.network import GroupId, grid_partition, make_grid
+from fairdispatch.sim import SimConfig, run_simulation
 
 
 def test_load_requests_minimal(tmp_path, halves4):
@@ -111,26 +114,57 @@ def make_requests(arrivals):
     ]
 
 
-def test_batch_boundary_semantics():
-    requests = make_requests([0, 59, 60])
-    got = batch(requests, 0, 60)
-    assert [r.arrival for r in got] == [0.0, 59.0]
+def window_batches(monkeypatch, requests, net, partition, fleet, horizon):
+    """Each window's batch as `run_simulation` hands it to the window problem."""
+    batches = []
+    build = sim_module.build_window_problem
+
+    def spy(vehicles, window_batch, *args):
+        batches.append(list(window_batch))
+        return build(vehicles, window_batch, *args)
+
+    cfg = SimConfig(window_len=60.0, horizon=horizon, seed=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(sim_module, "build_window_problem", spy)
+        result = run_simulation(cfg, net, partition, requests, fleet, record_trace=True)
+    return batches, result
 
 
-def test_batch_empty_inputs():
-    assert batch([], 0, 60) == []
-    assert batch(make_requests([30]), 60, 60) == []
+def test_batch_boundary_semantics(monkeypatch):
+    # windows are [0, 60), [60, 120), ...: a request arriving at exactly 60.0
+    # belongs to window 1 and is matched there
+    net = make_grid(1, 2, 30.0)
+    part = grid_partition(1, 2, 1, 2)
+    fleet = [VehicleState(v, 0, capacity=1) for v in range(3)]
+    batches, result = window_batches(
+        monkeypatch, make_requests([0, 59, 60]), net, part, fleet, horizon=180.0
+    )
+    assert [[r.arrival for r in b] for b in batches] == [[0.0, 59.0], [60.0], []]
+    served = [sorted(rid for ids in window.values() for rid in ids) for window in result.matchings]
+    assert served == [[0, 1], [2], []]
+
+
+def test_batch_empty_inputs(monkeypatch):
+    net = make_grid(1, 2, 30.0)
+    part = grid_partition(1, 2, 1, 2)
+    fleet = [VehicleState(0, 0, capacity=1)]
+    batches, _ = window_batches(monkeypatch, [], net, part, fleet, horizon=120.0)
+    assert batches == [[], []]
+    batches, _ = window_batches(monkeypatch, make_requests([30]), net, part, fleet, horizon=120.0)
+    assert [len(b) for b in batches] == [1, 0]
 
 
 def test_batch_rejects_bad_window():
-    with pytest.raises(InputError):
-        batch([], 0, 0)
+    with pytest.raises(ConfigError):
+        SimConfig(window_len=0.0, horizon=60.0)
 
 
-def test_batches_partition_sequence(grid4_60, halves4):
+def test_batches_partition_sequence(monkeypatch, grid4_60, halves4):
     profile = DemandProfile({GroupId(0, 1): 1.2}, horizon=1800, seed=5)
     requests = synth_requests(profile, grid4_60, halves4)
-    windows = [batch(requests, start, 60) for start in range(0, 1800, 60)]
-    rebuilt = [r for w in windows for r in w]
-    assert rebuilt == requests
-    assert sum(len(w) for w in windows) == len(requests)
+    fleet = [VehicleState(0, 0, capacity=2)]
+    windows, _ = window_batches(monkeypatch, requests, grid4_60, halves4, fleet, horizon=1800.0)
+    assert len(windows) == 30
+    for k, window in enumerate(windows):
+        assert all(60.0 * k <= r.arrival < 60.0 * (k + 1) for r in window)
+    assert [r for w in windows for r in w] == requests

@@ -99,7 +99,7 @@ def test_empty_batch_yields_only_null(grid3):
     v = VehicleState(0, 4, capacity=2)
     actions = feasible_actions(v, [], 60.0, grid3, C)
     assert len(actions) == 1
-    assert actions[0].is_null
+    assert not actions[0].requests
 
 
 def test_unreachable_pickup_yields_only_null():

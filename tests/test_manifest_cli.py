@@ -8,8 +8,12 @@ from types import SimpleNamespace
 import pytest
 
 from fairdispatch.cli import main
-from fairdispatch.errors import ConfigError
+from fairdispatch.demand import load_requests
+from fairdispatch.errors import ConfigError, ParseError
+from fairdispatch.fleet import load_fleet
 from fairdispatch.manifest import load_scenario
+from fairdispatch.network import grid_partition, load_network, load_partition, make_grid
+from fairdispatch.scoring import load_pricing, load_value_table
 
 
 def write_manifest(path: Path, **overrides) -> Path:
@@ -67,6 +71,33 @@ def test_load_scenario_from_files(tmp_path):
     scenario = load_scenario(manifest)
     assert scenario.config.pricing == {0: 2.5}
     assert len(scenario.requests) == 1
+
+
+# Each CSV loader: how to call it, one valid record, and how many records it read.
+CSV_LOADERS = {
+    "network": (load_network, "0,1,60", lambda net: len(net.edges)),
+    "partition": (load_partition, "0,0", lambda part: len(part.area_of)),
+    "fleet": (lambda path: load_fleet(path, make_grid(2, 2, 60.0)), "0,1,2", len),
+    "requests": (lambda path: load_requests(path, grid_partition(2, 2, 1, 2)), "0,1,30.5", len),
+    "value_table": (load_value_table, "0,1,2,0.5", len),
+    "pricing": (load_pricing, "3,1.5", len),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_LOADERS))
+def test_csv_loaders_skip_comments_and_name_bad_lines(tmp_path, kind):
+    load, record, size = CSV_LOADERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"# comment\n\n{record}\n   \n  # indented comment\n")
+    assert size(load(path)) == 1
+    fields = record.split(",")
+    for bad in (",".join(fields[:-1]), f"{record},9,9"):
+        path.write_text(f"# comment\n\n{bad}\n")
+        with pytest.raises(ParseError, match=rf"{kind}\.csv:3: expected '"):
+            load(path)
+    path.write_text(f"# comment\n{record}\n\n{','.join(fields[:-1] + ['x'])}\n")
+    with pytest.raises(ParseError, match=rf"{kind}\.csv:4: non-numeric field"):
+        load(path)
 
 
 def test_load_scenario_with_table_and_delay_vfa(tmp_path):

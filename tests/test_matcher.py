@@ -389,6 +389,26 @@ def test_one_vehicle_components_take_their_lowest_top_index(monkeypatch):
     assert dict(solve_ilp(tied).chosen) == {0: 0, 1: 2, 2: 0}
 
 
+def test_tie_plateau_stays_in_the_exact_search(monkeypatch):
+    """Twelve vehicles tied on four requests: every assignment serving all
+    four totals 4.0, so only the lexicographic prune keeps the search
+    within its budget."""
+
+    def forbidden(vehicles, masks):
+        raise AssertionError(f"component {vehicles} was handed to HiGHS")
+
+    monkeypatch.setattr(matcher, "_solve_with_highs", forbidden)
+    # 5**12 joint actions exceed the oracle's budget, but it only walks the
+    # 18,001 that serve each request at most once
+    monkeypatch.setattr(matcher, "BRUTE_FORCE_BUDGET", 5**12)
+    cands = {v: [NULL] + [Candidate(frozenset({r}), 1.0) for r in range(4)] for v in range(12)}
+    p = problem(cands, range(4))
+    a, b = solve_ilp(p), brute_force_match(p)
+    assert a.chosen == b.chosen
+    assert a.total_score == b.total_score == 4.0
+    assert list(a.chosen.values()) == [0] * 8 + [1, 2, 3, 4]
+
+
 def test_oracle_tests_never_leave_the_exact_search(monkeypatch):
     """The oracle-equality tests check the exact search: none of their
     generated components exceeds the search budget."""

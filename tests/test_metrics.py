@@ -14,7 +14,6 @@ from fairdispatch.metrics import (
     WindowMetrics,
     equity_report,
     gini,
-    parity_violations,
     update_driver_history,
     update_passenger_history,
     write_metrics_csv,
@@ -123,11 +122,6 @@ def test_passenger_mean_between_min_and_max():
         assert min(rates) <= hist.mean_rate() <= max(rates)
 
 
-def test_rate_or_mean_for_unseen_group():
-    hist = PassengerHistory({G00: 10}, {G00: 4})
-    assert hist.rate_or_mean(G01) == hist.mean_rate()
-
-
 def test_driver_history_updates():
     hist = DriverHistory.zeroed([0, 1])
     hist = update_driver_history(hist, matched({0: frozenset(), 1: frozenset({5})}), {0: 0.0, 1: 2.0})
@@ -181,12 +175,6 @@ def test_equity_report_driver_min_is_raw():
 def test_equity_report_requires_observations():
     with pytest.raises(InputError):
         equity_report(PassengerHistory.empty())
-
-
-def test_parity_violations():
-    assert parity_violations([0.5, 0.5, 0.5], 0.01) == 0
-    assert parity_violations([0.1, 0.9], 0.2) == 2
-    assert parity_violations([0.1, 0.9], 0.5) == 0
 
 
 def test_metrics_csv_golden(tmp_path):

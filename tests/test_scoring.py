@@ -126,7 +126,7 @@ def test_passenger_incentive_plus_dominates():
         plain = passenger_incentive(a, snap(hist))
         clipped = passenger_incentive(a, snap(hist, passenger_plus=True))
         assert clipped >= plain
-        if all(hist.rate_or_mean(r.group) <= hist.mean_rate() for r in a.requests):
+        if all(hist.service_rate(r.group) <= hist.mean_rate() for r in a.requests):
             assert clipped == plain
 
 
@@ -255,7 +255,9 @@ def ref_passenger_incentive(a: Action, hist: PassengerHistory, plus: bool) -> fl
     mean = hist.mean_rate()
     total = 0.0
     for r in a.requests:
-        gap = mean - hist.rate_or_mean(r.group)
+        # a group with no demand yet falls back to the mean: gap 0
+        rate = hist.service_rate(r.group) if hist.requested.get(r.group, 0) > 0 else mean
+        gap = mean - rate
         if plus and gap < 0:
             gap = 0.0
         total += gap
