@@ -365,8 +365,12 @@ def load_fleet(path: str | Path, net: StreetNetwork) -> list[VehicleState]:
             raise ParseError(f"{where}: duplicate vehicle id {vid}")
         if start not in net:
             raise ParseError(f"{where}: unknown start location {start}")
+        try:
+            vehicle = VehicleState(vid, start, capacity)
+        except InputError as exc:
+            raise ParseError(f"{where}: {exc}") from None
         seen.add(vid)
-        fleet.append(VehicleState(vid, start, capacity))
+        fleet.append(vehicle)
     fleet.sort(key=lambda veh: veh.id)
     return fleet
 

@@ -17,11 +17,16 @@ index among its maximum scores, which is what the search returns for it.
 
 The search of one component has a deterministic work budget
 (SEARCH_BUDGET, counted in search nodes times component vehicles, never
-in wall time).  A component that exceeds it is solved by HiGHS through
-scipy instead: LP relaxations and zero-gap MILPs give the optimum, and
-fixing vehicles in ascending id order rebuilds the same tie-break.  Within
-the budget results are exact and lexicographic; beyond it they are optimal
-and tie-broken to HiGHS's tolerance.  scipy is imported only on that path.
+in wall time), just above what the largest tie plateau of the tests needs,
+so a component the search cannot finish wastes little before the handover.
+A component that exceeds it is solved by HiGHS through scipy instead: LP
+relaxations and zero-gap MILPs give the optimum, and fixing vehicles in
+ascending id order rebuilds the same tie-break.  Within the budget results
+are exact and lexicographic; beyond it they are optimal and tie-broken to
+HiGHS's tolerance.  scipy is imported only on that path.
+
+A Matching stores only the vehicles that leave candidate index 0 or serve
+requests, so its size follows the vehicles served, not the fleet.
 """
 
 from __future__ import annotations
@@ -72,25 +77,34 @@ class MatchProblem:
                     raise InputError(f"vehicle {v} references requests outside the batch: {sorted(stray)}")
 
 
+_NO_REQUESTS: frozenset[int] = frozenset()
+
+
 class _ByVehicle(Mapping):
     """Read-only mapping from a problem's sorted vehicle ids to one value each.
 
-    Holds a tuple aligned with the problem's `vehicle_ids` (which it shares)
-    instead of a dict: a matching costs two pointers per vehicle, which
-    matters to callers that keep the matchings of many windows.
+    Stores only the vehicles whose value differs from `default` and answers
+    every other vehicle of the shared sorted `vehicle_ids` with it: in a
+    window most vehicles take their null action, so a matching costs about
+    as much as the vehicles it serves, which matters to callers that keep
+    the matchings of many windows.
     """
 
-    __slots__ = ("_vehicles", "_values")
+    __slots__ = ("_vehicles", "_values", "_default")
 
-    def __init__(self, vehicles: tuple[int, ...], values: tuple) -> None:
+    def __init__(self, vehicles: tuple[int, ...], values: dict, default) -> None:
         self._vehicles = vehicles
         self._values = values
+        self._default = default
 
     def __getitem__(self, v: int):
+        value = self._values.get(v)  # stored values are never None
+        if value is not None:
+            return value
         k = bisect_left(self._vehicles, v)
         if k == len(self._vehicles) or self._vehicles[k] != v:
             raise KeyError(v)
-        return self._values[k]
+        return self._default
 
     def __iter__(self):
         return iter(self._vehicles)
@@ -102,7 +116,7 @@ class _ByVehicle(Mapping):
         return repr(dict(self.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matching:
     """One chosen candidate index per vehicle; requests pairwise disjoint."""
 
@@ -134,19 +148,25 @@ def _masks(p: MatchProblem) -> dict[int, list[tuple[int, float]]]:
 def _finish(p: MatchProblem, chosen: dict[int, int]) -> Matching:
     if set(chosen) != set(p.vehicle_ids):
         raise ContractError("matching must assign exactly one action per vehicle")
-    vehicles = p.vehicle_ids
-    indices = tuple(chosen[v] for v in vehicles)
-    requests = []
+    indices: dict[int, int] = {}
+    requests: dict[int, frozenset[int]] = {}
     seen: set[int] = set()
     total = 0.0
-    for v, i in zip(vehicles, indices):
+    for v in p.vehicle_ids:
+        i = chosen[v]
         picked = p.candidates[v][i]
-        if picked.requests & seen:
-            raise ContractError(f"request served twice: {sorted(picked.requests & seen)}")
-        seen |= picked.requests
-        requests.append(picked.requests)
+        if i:
+            indices[v] = i
+        if picked.requests:
+            if picked.requests & seen:
+                raise ContractError(f"request served twice: {sorted(picked.requests & seen)}")
+            seen |= picked.requests
+            requests[v] = picked.requests
         total += picked.score
-    return Matching(_ByVehicle(vehicles, indices), _ByVehicle(vehicles, tuple(requests)), total)
+    vehicles = p.vehicle_ids
+    return Matching(
+        _ByVehicle(vehicles, indices, 0), _ByVehicle(vehicles, requests, _NO_REQUESTS), total
+    )
 
 
 def _components(p: MatchProblem, masks: dict[int, list[tuple[int, float]]]) -> list[list[int]]:
@@ -179,15 +199,20 @@ def _components(p: MatchProblem, masks: dict[int, list[tuple[int, float]]]) -> l
 
 # Work the exact search may spend on one component before HiGHS takes it
 # over, counted as search nodes times component vehicles: the bound of every
-# node scans the vehicles after it.  The components the search finishes peak
-# at 4.3e5 on desk days 0-11 of the criterion-5 scenario and at 4.2e4 on 200
-# windows captured from city-scale greedy runs, whose ten largest contended
-# components (18-101 vehicles) hand over.  Thirteen desk components (13-19
-# vehicles contending for 5-12 requests) exceed it after 0.08-0.49 s of
-# search: unbounded, twelve of them took 0.1-4.7 s and one ran past 100
-# times the budget, while HiGHS takes 11-59 ms each to give the same
-# assignments (CPython 3.11, one Xeon vCPU).
-SEARCH_BUDGET = 5 * 10**5
+# node scans the vehicles after it.  A component the search will not finish
+# shows no earlier sign of it (27 contended vehicles on 4 requests run away,
+# while 18 desk vehicles on 4 requests finish within 5e5), so the budget
+# itself is the signal, kept small: every handover first spends all of it.
+# Its floor is the twelve-vehicle tie plateau of the tests, which needs
+# 1.32e5 to stay exact.  The components the search finishes peak at 6.7e4
+# on desk days 0-11 of the criterion-5 scenario and at 4.2e4 on 200 windows
+# captured from city-scale greedy runs.  21 desk components (13-19 vehicles
+# contending for 4-12 requests) and the 10 largest contended ones (18-101
+# vehicles) hand over after 10-139 ms of search; HiGHS then takes 8-58 ms
+# per desk component and 9-289 ms per contended one.  For the eight desk
+# components that need 1.5e5-5e5 to finish, it returns the assignment the
+# exact search does (CPython 3.11, one Xeon vCPU).
+SEARCH_BUDGET = 15 * 10**4
 
 
 class _BudgetExceeded(Exception):
@@ -483,9 +508,10 @@ def solve_ilp(p: MatchProblem) -> Matching:
     candidate indices are lexicographically smallest over vehicles in
     ascending id order; the search takes the vehicles in that order and
     keeps the first such assignment it proves, with no second pass.  A
-    component that exceeds the budget is solved by HiGHS:
-    its assignment is optimal to HiGHS's tolerance, and the same tie-break
-    holds among assignments within a relative 1e-9 of that optimum.
+    component that exceeds the budget, after tens of milliseconds of
+    search, is solved by HiGHS: its assignment is optimal to HiGHS's
+    tolerance, and the same tie-break holds among assignments within a
+    relative 1e-9 of that optimum.
     """
     p.validate()
     masks = _masks(p)

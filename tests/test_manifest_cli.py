@@ -73,20 +73,21 @@ def test_load_scenario_from_files(tmp_path):
     assert len(scenario.requests) == 1
 
 
-# Each CSV loader: how to call it, one valid record, and how many records it read.
+# Each CSV loader: how to call it, one valid record, how many records it
+# read, and a well-formed record whose values it rejects (None if it checks none).
 CSV_LOADERS = {
-    "network": (load_network, "0,1,60", lambda net: len(net.edges)),
-    "partition": (load_partition, "0,0", lambda part: len(part.area_of)),
-    "fleet": (lambda path: load_fleet(path, make_grid(2, 2, 60.0)), "0,1,2", len),
-    "requests": (lambda path: load_requests(path, grid_partition(2, 2, 1, 2)), "0,1,30.5", len),
-    "value_table": (load_value_table, "0,1,2,0.5", len),
-    "pricing": (load_pricing, "3,1.5", len),
+    "network": (load_network, "0,1,60", lambda net: len(net.edges), "0,1,0"),
+    "partition": (load_partition, "0,0", lambda part: len(part.area_of), None),
+    "fleet": (lambda path: load_fleet(path, make_grid(2, 2, 60.0)), "0,1,2", len, "0,1,0"),
+    "requests": (lambda path: load_requests(path, grid_partition(2, 2, 1, 2)), "0,1,30.5", len, "1,1,30.5"),
+    "value_table": (load_value_table, "0,1,2,0.5", len, None),
+    "pricing": (load_pricing, "3,1.5", len, "3,-1.5"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(CSV_LOADERS))
 def test_csv_loaders_skip_comments_and_name_bad_lines(tmp_path, kind):
-    load, record, size = CSV_LOADERS[kind]
+    load, record, size, rejected = CSV_LOADERS[kind]
     path = tmp_path / f"{kind}.csv"
     path.write_text(f"# comment\n\n{record}\n   \n  # indented comment\n")
     assert size(load(path)) == 1
@@ -98,6 +99,10 @@ def test_csv_loaders_skip_comments_and_name_bad_lines(tmp_path, kind):
     path.write_text(f"# comment\n{record}\n\n{','.join(fields[:-1] + ['x'])}\n")
     with pytest.raises(ParseError, match=rf"{kind}\.csv:4: non-numeric field"):
         load(path)
+    if rejected is not None:
+        path.write_text(f"# comment\n\n{rejected}\n")
+        with pytest.raises(ParseError, match=rf"{kind}\.csv:3: "):
+            load(path)
 
 
 def test_load_scenario_with_table_and_delay_vfa(tmp_path):

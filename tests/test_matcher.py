@@ -268,6 +268,51 @@ def test_matching_maps_exactly_its_vehicles():
         m.chosen[0]
 
 
+def test_matching_stores_only_non_default_vehicles_and_answers_all():
+    """Matchings keep only vehicles off index 0 or serving requests; the
+    rest answer by default, whatever index their null candidate sits at."""
+    p = problem(
+        {
+            5: [Candidate(frozenset({1}), 2.0), NULL],  # non-null index 0, chosen
+            3: [Candidate(frozenset({1}), 1.0), Candidate(frozenset({1}), 0.5), NULL],
+            1: [NULL, Candidate(frozenset({2}), -1.0)],
+        },
+        [1, 2],
+    )
+    for m in (solve_ilp(p), brute_force_match(p)):
+        assert m.chosen == {1: 0, 3: 2, 5: 0}
+        assert m.assigned == {1: frozenset(), 3: frozenset(), 5: frozenset({1})}
+        assert list(m.chosen) == list(m.assigned) == [1, 3, 5]
+        assert list(m.chosen.items()) == [(1, 0), (3, 2), (5, 0)]
+        for unknown in (0, 2, 4, 6):
+            with pytest.raises(KeyError):
+                m.chosen[unknown]
+            with pytest.raises(KeyError):
+                m.assigned[unknown]
+
+
+def test_matching_memory_follows_the_vehicles_served():
+    """A 200-vehicle window in which two vehicles serve costs well under the
+    two pointers per vehicle a dense matching would hold."""
+    import tracemalloc
+
+    cands = {v: [NULL] for v in range(200)}
+    for v in (17, 140):
+        cands[v] = [NULL, Candidate(frozenset({v}), 1.0)]
+    p = problem(cands, [17, 140])
+    kept = [None] * 100
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(100):
+            kept[k] = solve_ilp(p)
+        per_matching = (tracemalloc.get_traced_memory()[0] - before) / 100
+    finally:
+        tracemalloc.stop()
+    assert kept[0].served_request_ids() == {17, 140}
+    assert per_matching < 1200, per_matching
+
+
 def test_problem_json_roundtrip():
     p = two_vehicle_example()
     doc = problem_to_json(p)
