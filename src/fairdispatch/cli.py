@@ -15,15 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-from .demand import synth_requests
 from .errors import ConfigError, ContractError, FairDispatchError, InputError, ParseError
-from .manifest import (
-    demand_profile_from,
-    load_scenario,
-    network_from,
-    partition_from,
-    read_manifest,
-)
+from .manifest import horizon_from, load_scenario, network_from, read_manifest, requests_from
 from .metrics import METRICS_COLUMNS, write_metrics_csv
 from .sim import (
     DEFAULT_WEIGHT_LADDER,
@@ -56,6 +49,15 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _load(load, manifest: str, label: str = "error"):
+    """`load(manifest path)`, or None after reporting a bad manifest or data file."""
+    try:
+        return load(Path(manifest))
+    except (ConfigError, InputError, ParseError, OSError) as exc:
+        print(f"{label}: {exc}", file=sys.stderr)
+        return None
+
+
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
@@ -83,10 +85,8 @@ def _summary_text(result: RunResult) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.manifest)
-    except (ConfigError, ParseError, InputError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    scenario = _load(load_scenario, args.manifest)
+    if scenario is None:
         return 2
     out = Path(args.out)
     blocked = _guard_outputs(out, ["metrics.csv", "result.json", "summary.txt"], args.force)
@@ -152,10 +152,8 @@ def _frontier_summary(rows: list[SweepRow]) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.manifest)
-    except (ConfigError, ParseError, InputError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    scenario = _load(load_scenario, args.manifest)
+    if scenario is None:
         return 2
     out = Path(args.out)
     blocked = _guard_outputs(out, ["sweep.csv", "summary.txt"], args.force)
@@ -223,19 +221,18 @@ def _cmd_theorem_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _synthesise_demand(path: Path) -> list:
+    doc = read_manifest(path)
+    spec = doc.get("requests")
+    if not isinstance(spec, dict) or "profile" not in spec:
+        raise ConfigError("gen-demand requires a 'requests.profile' manifest section")
+    net, partition = network_from(doc, path.parent)
+    return requests_from(doc, path.parent, net, partition, horizon_from(doc))
+
+
 def _cmd_gen_demand(args: argparse.Namespace) -> int:
-    try:
-        path = Path(args.manifest)
-        doc = read_manifest(path)
-        net, grid_shape = network_from(doc, path.parent)
-        partition = partition_from(doc, path.parent, grid_shape)
-        spec = doc.get("requests", {})
-        if not isinstance(spec, dict) or "profile" not in spec:
-            raise ConfigError("gen-demand requires a 'requests.profile' manifest section")
-        horizon = float(doc.get("horizon", 86400.0))
-        requests = synth_requests(demand_profile_from(spec["profile"], horizon), net, partition)
-    except (ConfigError, ParseError, InputError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    requests = _load(_synthesise_demand, args.manifest)
+    if requests is None:
         return 2
     out = Path(args.out)
     blocked = _guard_outputs(out, ["requests.csv"], args.force)
@@ -249,14 +246,10 @@ def _cmd_gen_demand(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_network(args: argparse.Namespace) -> int:
-    try:
-        path = Path(args.manifest)
-        doc = read_manifest(path)
-        net, grid_shape = network_from(doc, path.parent)
-        partition = partition_from(doc, path.parent, grid_shape)
-    except (ConfigError, ParseError, InputError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    loaded = _load(lambda path: network_from(read_manifest(path), path.parent), args.manifest)
+    if loaded is None:
         return 2
+    net, partition = loaded
     out = Path(args.out)
     blocked = _guard_outputs(out, ["network.csv", "partition.csv"], args.force)
     if blocked is not None:
@@ -275,10 +268,8 @@ def _cmd_gen_network(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_config(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.manifest)
-    except (ConfigError, ParseError, InputError, FileNotFoundError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
+    scenario = _load(load_scenario, args.manifest, label="invalid")
+    if scenario is None:
         return 2
     print(
         f"ok: {len(scenario.net.locations)} locations, "

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._records import read_records
 from .demand import Request
-from .errors import ContractError, InputError, ParseError
+from .errors import ConfigError, ContractError, InputError, ParseError
 from .network import StreetNetwork
 
 PICKUP = "pickup"
@@ -42,9 +42,11 @@ class RideConstraints:
 
     def __post_init__(self) -> None:
         if not self.max_wait > 0:
-            raise InputError(f"max_wait must be positive, got {self.max_wait}")
-        if self.max_detour < 0 or self.max_bundle < 1:
-            raise InputError("max_detour must be >= 0 and max_bundle >= 1")
+            raise ConfigError(f"max_wait must be positive, got {self.max_wait}")
+        if not (self.max_detour >= 0 and self.max_bundle >= 1):
+            raise ConfigError(
+                f"max_detour must be >= 0 and max_bundle >= 1, got {self.max_detour}, {self.max_bundle}"
+            )
 
 
 @dataclass
@@ -56,7 +58,6 @@ class VehicleState:
     capacity: int
     route: list[Stop] = field(default_factory=list)
     onboard: set[int] = field(default_factory=set)
-    income: float = 0.0
     next_node: int | None = None
     edge_progress: float = 0.0
 
@@ -73,7 +74,6 @@ class VehicleState:
             self.capacity,
             list(self.route),
             set(self.onboard),
-            self.income,
             self.next_node,
             self.edge_progress,
         )

@@ -3,6 +3,11 @@
 A manifest mirrors the simulation config and points at (or inlines) the
 network, partition, request source, fleet, optional value table and optional
 pricing.  Relative paths are resolved against the manifest's directory.
+
+Every field is read through one typed reader (`_number`, `_integer`,
+`_boolean`, `_object`, `_path`), so a wrong JSON type raises a `ConfigError`
+naming the field.  Ranges and memberships are checked by the constructors the
+values go to, not here.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .network import (
     load_partition,
     make_grid,
 )
-from .scoring import VFA_KINDS, ScoreWeights, ValueFunction, load_pricing, load_value_table
-from .sim import MATCHER_KINDS, SimConfig
+from .scoring import ScoreWeights, ValueFunction, load_pricing, load_value_table
+from .sim import SimConfig
 
 _TOP_LEVEL_KEYS = {
     "window_len",
@@ -52,20 +57,46 @@ class Scenario:
     partition: AreaPartition
     requests: list[Request]
     fleet: list[VehicleState]
-    grid_shape: tuple[int, int] | None = None
 
 
 def _fail(where: str, message: str) -> ConfigError:
     return ConfigError(f"manifest field '{where}': {message}")
 
 
-def _number(doc: dict, key: str, default: float, minimum: float | None = None) -> float:
-    value = doc.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise _fail(key, f"expected a number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise _fail(key, f"must be >= {minimum}, got {value}")
-    return float(value)
+def _read(spec: dict, field: str, default, expected: str, accept):
+    """The value of dotted `field` (its last part is the key in `spec`), checked by `accept`."""
+    value = spec.get(field.rpartition(".")[2], default)
+    if not accept(value):
+        raise _fail(field, f"expected {expected}, got {value!r}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(spec: dict, field: str, default: float | None = None) -> float:
+    return float(_read(spec, field, default, "a number", _is_number))
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _integer(spec: dict, field: str, default: int | None = None) -> int:
+    return int(_read(spec, field, default, "an integer", _is_integer))
+
+
+def _boolean(spec: dict, field: str, default: bool) -> bool:
+    return _read(spec, field, default, "true or false", lambda v: isinstance(v, bool))
+
+
+def _object(spec: dict, field: str, default: dict | None = None) -> dict:
+    return _read(spec, field, default, "an object", lambda v: isinstance(v, dict))
+
+
+def _path(spec: dict, field: str, base: Path) -> Path:
+    return base / _read(spec, field, None, "a file path", lambda v: isinstance(v, str))
 
 
 def read_manifest(path: str | Path) -> dict:
@@ -82,121 +113,101 @@ def read_manifest(path: str | Path) -> dict:
     return doc
 
 
+def horizon_from(doc: dict) -> float:
+    """The run's horizon in seconds, also a request profile's default horizon."""
+    return _number(doc, "horizon", 86400.0)
+
+
 def _weights_from(doc: dict) -> ScoreWeights:
-    spec = doc.get("weights", {})
-    if not isinstance(spec, dict):
-        raise _fail("weights", "expected an object")
-    beta = _number(spec, "beta", 0.0)
-    delta = _number(spec, "delta", 0.0)
-    if beta < 0 or delta < 0:
-        raise _fail("weights", f"beta and delta must be nonnegative, got {beta}, {delta}")
+    spec = _object(doc, "weights", {})
     return ScoreWeights(
-        beta=beta,
-        delta=delta,
-        passenger_plus=bool(spec.get("passenger_plus", False)),
-        driver_plus=bool(spec.get("driver_plus", False)),
+        beta=_number(spec, "weights.beta", 0.0),
+        delta=_number(spec, "weights.delta", 0.0),
+        passenger_plus=_boolean(spec, "weights.passenger_plus", False),
+        driver_plus=_boolean(spec, "weights.driver_plus", False),
     )
 
 
 def _vfa_from(doc: dict, base: Path) -> ValueFunction:
-    spec = doc.get("vfa", {"kind": "zero"})
-    if not isinstance(spec, dict):
-        raise _fail("vfa", "expected an object")
+    spec = _object(doc, "vfa", {})
     kind = spec.get("kind", "zero")
-    if kind not in VFA_KINDS:
-        raise _fail("vfa.kind", f"unknown kind {kind!r}")
-    table = {}
-    if kind == "table":
-        if "path" not in spec:
-            raise _fail("vfa.path", "table value function requires a file path")
-        table = load_value_table(base / spec["path"])
     return ValueFunction(
         kind=kind,
-        omega=_number(spec, "omega", 1e-4),
-        table=table,
-        bucket_seconds=_number(spec, "bucket_seconds", 3600.0, minimum=1e-9),
+        omega=_number(spec, "vfa.omega", 1e-4),
+        table=load_value_table(_path(spec, "vfa.path", base)) if kind == "table" else {},
+        bucket_seconds=_number(spec, "vfa.bucket_seconds", 3600.0),
     )
 
 
-def network_from(doc: dict, base: Path) -> tuple[StreetNetwork, tuple[int, int] | None]:
-    spec = doc.get("network")
-    if not isinstance(spec, dict):
-        raise _fail("network", "expected an object with 'path' or 'grid'")
+def network_from(doc: dict, base: Path) -> tuple[StreetNetwork, AreaPartition]:
+    """The street network and its partition into areas."""
+    spec = _object(doc, "network")
     if "path" in spec:
-        return load_network(base / spec["path"]), None
-    if "grid" in spec:
-        grid = spec["grid"]
-        rows = int(_number(grid, "rows", 0, minimum=1))
-        cols = int(_number(grid, "cols", 0, minimum=1))
-        cost = _number(grid, "edge_cost", 60.0, minimum=1e-9)
-        return make_grid(rows, cols, cost), (rows, cols)
-    raise _fail("network", "needs either 'path' or 'grid'")
-
-
-def partition_from(
-    doc: dict, base: Path, grid_shape: tuple[int, int] | None
-) -> AreaPartition:
-    spec = doc.get("partition")
-    if not isinstance(spec, dict):
-        raise _fail("partition", "expected an object with 'path' or 'grid'")
-    if "path" in spec:
-        return load_partition(base / spec["path"])
-    if "grid" in spec:
-        if grid_shape is None:
-            raise _fail("partition.grid", "grid partitions require a grid network")
-        tile = spec["grid"]
-        return grid_partition(
-            grid_shape[0],
-            grid_shape[1],
-            int(_number(tile, "rows_per_area", 0, minimum=1)),
-            int(_number(tile, "cols_per_area", 0, minimum=1)),
-        )
-    raise _fail("partition", "needs either 'path' or 'grid'")
+        net, shape = load_network(_path(spec, "network.path", base)), None
+    elif "grid" in spec:
+        grid = _object(spec, "network.grid")
+        shape = (_integer(grid, "network.grid.rows"), _integer(grid, "network.grid.cols"))
+        net = make_grid(*shape, _number(grid, "network.grid.edge_cost", 60.0))
+    else:
+        raise _fail("network", "needs either 'path' or 'grid'")
+    part = _object(doc, "partition")
+    if "path" in part:
+        return net, load_partition(_path(part, "partition.path", base))
+    if "grid" not in part:
+        raise _fail("partition", "needs either 'path' or 'grid'")
+    if shape is None:
+        raise _fail("partition.grid", "grid partitions require a grid network")
+    tile = _object(part, "partition.grid")
+    return net, grid_partition(
+        *shape,
+        _integer(tile, "partition.grid.rows_per_area"),
+        _integer(tile, "partition.grid.cols_per_area"),
+    )
 
 
 def requests_from(
     doc: dict, base: Path, net: StreetNetwork, partition: AreaPartition, horizon: float
 ) -> list[Request]:
-    spec = doc.get("requests")
-    if not isinstance(spec, dict):
-        raise _fail("requests", "expected an object with 'path' or 'profile'")
+    spec = _object(doc, "requests")
     if "path" in spec:
-        return load_requests(base / spec["path"], partition)
+        return load_requests(_path(spec, "requests.path", base), partition)
     if "profile" in spec:
-        return synth_requests(demand_profile_from(spec["profile"], horizon), net, partition)
+        profile = _profile_from(_object(spec, "requests.profile"), horizon)
+        return synth_requests(profile, net, partition)
     raise _fail("requests", "needs either 'path' or 'profile'")
 
 
-def demand_profile_from(spec: dict, default_horizon: float) -> DemandProfile:
-    if not isinstance(spec, dict) or "rates" not in spec:
-        raise _fail("requests.profile", "expected an object with a 'rates' list")
+def _profile_from(spec: dict, default_horizon: float) -> DemandProfile:
     rates: dict[GroupId, float] = {}
-    for i, entry in enumerate(spec["rates"]):
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise _fail(f"requests.profile.rates[{i}]", "expected [origin_area, dest_area, rate]")
-        origin, dest, rate = entry
-        rates[GroupId(int(origin), int(dest))] = float(rate)
+    entries = _read(spec, "requests.profile.rates", None, "a list", lambda v: isinstance(v, list))
+    for i, entry in enumerate(entries):
+        where = f"requests.profile.rates[{i}]"
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise _fail(where, "expected [origin_area, dest_area, rate]")
+        fields = dict(zip(("origin_area", "dest_area", "rate"), entry))
+        group = GroupId(
+            _integer(fields, f"{where}.origin_area"), _integer(fields, f"{where}.dest_area")
+        )
+        rates[group] = _number(fields, f"{where}.rate")
     return DemandProfile(
         rates=rates,
-        horizon=_number(spec, "horizon", default_horizon, minimum=1e-9),
-        seed=int(_number(spec, "seed", 0)),
-        step_seconds=_number(spec, "step", 60.0, minimum=1e-9),
+        horizon=_number(spec, "requests.profile.horizon", default_horizon),
+        seed=_integer(spec, "requests.profile.seed", 0),
+        step_seconds=_number(spec, "requests.profile.step", 60.0),
     )
 
 
 def fleet_from(doc: dict, base: Path, net: StreetNetwork) -> list[VehicleState]:
-    spec = doc.get("fleet")
-    if not isinstance(spec, dict):
-        raise _fail("fleet", "expected an object with 'path' or 'random'")
+    spec = _object(doc, "fleet")
     if "path" in spec:
-        return load_fleet(base / spec["path"], net)
+        return load_fleet(_path(spec, "fleet.path", base), net)
     if "random" in spec:
-        draw = spec["random"]
+        draw = _object(spec, "fleet.random")
         return random_fleet(
-            int(_number(draw, "size", 0, minimum=1)),
-            int(_number(draw, "capacity", 0, minimum=1)),
+            _integer(draw, "fleet.random.size"),
+            _integer(draw, "fleet.random.capacity"),
             net,
-            int(_number(draw, "seed", 0)),
+            _integer(draw, "fleet.random.seed", 0),
         )
     raise _fail("fleet", "needs either 'path' or 'random'")
 
@@ -207,36 +218,25 @@ def load_scenario(path: str | Path) -> Scenario:
     doc = read_manifest(path)
     base = path.parent
 
-    net, grid_shape = network_from(doc, base)
-    partition = partition_from(doc, base, grid_shape)
-    horizon = _number(doc, "horizon", 86400.0, minimum=1e-9)
+    net, partition = network_from(doc, base)
+    horizon = horizon_from(doc)
     requests = requests_from(doc, base, net, partition, horizon)
     fleet = fleet_from(doc, base, net)
-
     pricing = None
     if "pricing" in doc:
-        if not isinstance(doc["pricing"], dict) or "path" not in doc["pricing"]:
-            raise _fail("pricing", "expected an object with 'path'")
-        pricing = load_pricing(base / doc["pricing"]["path"])
-
-    matcher = doc.get("matcher", "ilp")
-    if matcher not in MATCHER_KINDS:
-        raise _fail("matcher", f"unknown matcher {matcher!r}")
+        pricing = load_pricing(_path(_object(doc, "pricing"), "pricing.path", base))
 
     config = SimConfig(
-        window_len=_number(doc, "window_len", 60.0, minimum=1e-9),
+        window_len=_number(doc, "window_len", 60.0),
         horizon=horizon,
-        max_wait=_number(doc, "max_wait", 300.0, minimum=1e-9),
-        max_detour=_number(doc, "max_detour", 300.0, minimum=0.0),
-        max_bundle=int(_number(doc, "max_bundle", 2, minimum=1)),
+        max_wait=_number(doc, "max_wait", 300.0),
+        max_detour=_number(doc, "max_detour", 300.0),
+        max_bundle=_integer(doc, "max_bundle", 2),
         vfa=_vfa_from(doc, base),
         weights=_weights_from(doc),
-        matcher=matcher,
-        seed=int(_number(doc, "seed", 0)),
-        incentives_enabled=bool(doc.get("incentives_enabled", True)),
+        matcher=doc.get("matcher", "ilp"),
+        seed=_integer(doc, "seed", 0),
+        incentives_enabled=_boolean(doc, "incentives_enabled", True),
         pricing=pricing,
     )
-    for vehicle in fleet:
-        if vehicle.location not in net:
-            raise _fail("fleet", f"vehicle {vehicle.id} starts off-network at {vehicle.location}")
-    return Scenario(config, net, partition, requests, fleet, grid_shape)
+    return Scenario(config, net, partition, requests, fleet)

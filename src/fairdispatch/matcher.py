@@ -125,10 +125,10 @@ class Matching:
     total_score: float
 
     def served_request_ids(self) -> frozenset[int]:
-        out: set[int] = set()
-        for ids in self.assigned.values():
-            out |= ids
-        return frozenset(out)
+        assigned = self.assigned
+        # A sparse matching stores only the vehicles that serve requests.
+        served = assigned._values.values() if isinstance(assigned, _ByVehicle) else assigned.values()
+        return frozenset().union(*served)
 
 
 def _masks(p: MatchProblem) -> dict[int, list[tuple[int, float]]]:

@@ -67,9 +67,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.matcher not in MATCHER_KINDS:
             raise ConfigError(f"unknown matcher {self.matcher!r}")
-        for name in ("window_len", "horizon", "max_wait"):
+        for name in ("window_len", "horizon"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        self.constraints()
         if self.n_windows * self.window_len != self.horizon:
             raise ConfigError(
                 f"window_len {self.window_len} does not divide horizon {self.horizon}"
@@ -138,12 +139,10 @@ def build_window_problem(
     hist_p: PassengerHistory,
     hist_d: DriverHistory,
     partition: AreaPartition | None,
-    weights: ScoreWeights | None = None,
 ) -> tuple[MatchProblem, dict[int, list]]:
     """Enumerate and score candidate actions for one assignment window."""
-    weights = cfg.weights if weights is None else weights
     constraints = cfg.constraints()
-    snapshot = fairness_snapshot(hist_p, hist_d, weights) if cfg.incentives_enabled else None
+    snapshot = fairness_snapshot(hist_p, hist_d, cfg.weights) if cfg.incentives_enabled else None
     actions_by: dict[int, list] = {}
     candidates: dict[int, list[Candidate]] = {}
     for v in vehicles:
@@ -152,7 +151,7 @@ def build_window_problem(
         for a in acts:
             if snapshot is not None:
                 score = total_score(
-                    v, a, cfg.vfa, snapshot, weights, now, partition, cfg.pricing
+                    v, a, cfg.vfa, snapshot, cfg.weights, now, partition, cfg.pricing
                 )
             else:
                 score = base_score(v, a, cfg.vfa, now, partition, cfg.pricing)
@@ -175,8 +174,6 @@ def run_simulation(
     partition: AreaPartition,
     requests: list[Request],
     fleet: list[VehicleState],
-    passenger_history: PassengerHistory | None = None,
-    driver_history: DriverHistory | None = None,
     record_trace: bool = False,
 ) -> RunResult:
     """Run the full dispatch loop; bit-reproducible for identical inputs."""
@@ -187,13 +184,8 @@ def run_simulation(
         raise InputError("requests must be sorted by arrival time")
 
     vehicles = sorted((v.clone() for v in fleet), key=lambda v: v.id)
-    hist_p = passenger_history if passenger_history is not None else PassengerHistory.empty()
-    incomes = {v.id: 0.0 for v in vehicles}
-    if driver_history is not None:
-        incomes.update(driver_history.incomes)
-    hist_d = DriverHistory(incomes)
-    for v in vehicles:
-        v.income = incomes[v.id]
+    hist_p = PassengerHistory.empty()
+    hist_d = DriverHistory.zeroed([v.id for v in vehicles])
 
     rows: list[WindowMetrics] = []
     trace: list[dict[int, tuple[int, ...]]] | None = [] if record_trace else None
@@ -222,9 +214,7 @@ def run_simulation(
         total_served += len(matching.served_request_ids())
 
         for v in vehicles:
-            chosen_action = actions_by[v.id][matching.chosen[v.id]]
-            v.income += rewards[v.id]
-            advance(v, chosen_action, cfg.window_len, net)
+            advance(v, actions_by[v.id][matching.chosen[v.id]], cfg.window_len, net)
 
         if trace is not None:
             trace.append(
@@ -570,11 +560,10 @@ def _one_window_matching(
         inst.requests,
         inst.config.window_len,
         inst.net,
-        inst.config,
+        replace(inst.config, weights=weights),
         hist_p,
         hist_d,
         inst.partition,
-        weights=weights,
     )
     return problem, actions_by, solve_ilp(problem)
 

@@ -137,6 +137,43 @@ def test_validate_config_rejects_negative_beta(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+# Malformed manifests: the overrides, the field the error must name, and
+# whether gen-demand reads that field (it reads only horizon, network,
+# partition and requests).
+MALFORMED = {
+    "string passenger_plus": (
+        {"weights": {"beta": 1.0, "passenger_plus": "false"}}, "weights.passenger_plus", False
+    ),
+    "string driver_plus": ({"weights": {"driver_plus": "no"}}, "weights.driver_plus", False),
+    "string incentives_enabled": ({"incentives_enabled": "false"}, "incentives_enabled", False),
+    "number as network grid": ({"network": {"grid": 5}}, "network.grid", True),
+    "number as partition grid": ({"partition": {"grid": 3}}, "partition.grid", True),
+    "number as network path": ({"network": {"path": 5}}, "network.path", True),
+    "number as random fleet": ({"fleet": {"random": 3}}, "fleet.random", False),
+    "string rate": (
+        {"requests": {"profile": {"rates": [[0, 0, "x"]], "seed": 5}}},
+        "requests.profile.rates[0].rate",
+        True,
+    ),
+    "string horizon": ({"horizon": "abc"}, "horizon", True),
+    "fractional max_bundle": ({"max_bundle": 2.7}, "max_bundle", False),
+    "fractional seed": ({"seed": 1.5}, "seed", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_manifest_exits_2_naming_the_field(tmp_path, capsys, case):
+    overrides, field, read_by_gen_demand = MALFORMED[case]
+    manifest = str(write_manifest(tmp_path / "m.json", **overrides))
+    commands = [["validate-config"], ["run", "--out", str(tmp_path / "run")]]
+    if read_by_gen_demand:
+        commands.append(["gen-demand", "--out", str(tmp_path / "gen")])
+    for command in commands:
+        assert main([*command, "--manifest", manifest]) == 2, command
+        assert f"'{field}'" in capsys.readouterr().err, command
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_happy_path(tmp_path, capsys):
     manifest = write_manifest(tmp_path / "m.json")
     out = tmp_path / "out"

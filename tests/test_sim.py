@@ -133,6 +133,10 @@ def test_run_rejects_bad_inputs():
         SimConfig(window_len=70.0, horizon=1800.0)
     with pytest.raises(ConfigError):
         SimConfig(matcher="simplex")
+    with pytest.raises(ConfigError, match="max_bundle"):
+        SimConfig(max_bundle=0)
+    with pytest.raises(ConfigError, match="max_detour"):
+        SimConfig(max_detour=-1)
     late = [Request(0, 0, 1, 99999.0, GroupId(0, 0))]
     with pytest.raises(ConfigError):
         run_simulation(small_cfg(), net, part, late, fleet)
