@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -15,10 +16,15 @@ def read_records(
 
     Blank lines and lines starting with '#' are skipped.  A record holds one
     field per entry of `types`, converted by it, plus up to `optional`
-    trailing fields that are ignored.  `where` is `path:line`, which every
-    ParseError raised here names and the caller's own checks should too.
+    trailing fields that are ignored.  A float field must be finite.  `where`
+    is `path:line`, which every ParseError raised here names and the caller's
+    own checks should too.
     """
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -30,4 +36,6 @@ def read_records(
             values = [convert(part) for convert, part in zip(types, parts)]
         except ValueError:
             raise ParseError(f"{where}: non-numeric field in {raw!r}") from None
+        if not all(isfinite(value) for value in values if isinstance(value, float)):
+            raise ParseError(f"{where}: non-finite field in {raw!r}")
         yield where, values

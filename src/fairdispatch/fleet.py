@@ -241,8 +241,13 @@ def feasible_actions(
 ) -> list[Action]:
     """All request subsets the vehicle can serve, each with its best plan.
 
-    The null action comes first; remaining actions are ordered by subset size
-    and then by request ids, so callers see a stable candidate order.
+    Bundles grow one request per layer, as in Alonso-Mora et al.'s trip
+    construction.  The first layer's pool is the requests whose pickup is
+    still reachable in time, each later pool the requests of the previous
+    layer's bundles, and a bundle (sorted ids) is searched only when every
+    bundle one request smaller is feasible; dropping stops never delays the
+    rest, so none is missed.  The null action comes first, then bundles by
+    size and then by request ids.
     """
     actions = [null_action(v)]
     room = min(constraints.max_bundle, v.capacity - len(v.onboard))
@@ -252,35 +257,25 @@ def feasible_actions(
     start, offset = v.planning_origin(net)
     base_completion = _route_completion(start, offset, now, v.route, net)
     by_id = {r.id: r for r in batch}
-
-    feasible: dict[int, dict[frozenset[int], tuple[tuple[Stop, ...], float]]] = {1: {}}
-    for r in sorted(batch, key=lambda r: r.id):
-        if now + offset + net.travel_time(start, r.pickup) > r.arrival + constraints.max_wait:
-            continue
-        found = _PlanSearch(v, [r], now, net, constraints).run()
-        if found is not None:
-            feasible[1][frozenset((r.id,))] = found
-
-    for size in range(2, room + 1):
-        feasible[size] = {}
-        smaller = feasible[size - 1]
-        pool = sorted({rid for ids in feasible[1] for rid in ids})
-        for combo in combinations(pool, size):
-            ids = frozenset(combo)
-            if any(ids - {rid} not in smaller for rid in combo):
+    pool = sorted(
+        r.id
+        for r in batch
+        if now + offset + net.travel_time(start, r.pickup) <= r.arrival + constraints.max_wait
+    )
+    smaller: set[tuple[int, ...]] = {()}
+    for size in range(1, room + 1):
+        layer: set[tuple[int, ...]] = set()
+        for ids in combinations(pool, size):
+            if not smaller.issuperset(combinations(ids, size - 1)):
                 continue
-            requests = [by_id[rid] for rid in combo]
+            requests = tuple(by_id[rid] for rid in ids)
             found = _PlanSearch(v, requests, now, net, constraints).run()
             if found is not None:
-                feasible[size][ids] = found
-        if not feasible[size]:
-            break
-
-    for size in sorted(feasible):
-        for ids in sorted(feasible[size], key=sorted):
-            plan, completion = feasible[size][ids]
-            requests = tuple(by_id[rid] for rid in sorted(ids))
-            actions.append(Action(requests, plan, completion - base_completion))
+                plan, completion = found
+                actions.append(Action(requests, plan, completion - base_completion))
+                layer.add(ids)
+        smaller = layer
+        pool = sorted({rid for ids in layer for rid in ids})
     return actions
 
 

@@ -13,6 +13,7 @@ values go to, not here.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,11 +73,13 @@ def _read(spec: dict, field: str, default, expected: str, accept):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # Not a bool, and finite as a float: JSON reads NaN and Infinity as floats,
+    # and an integer literal beyond the float range as an int.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _number(spec: dict, field: str, default: float | None = None) -> float:
-    return float(_read(spec, field, default, "a number", _is_number))
+    return float(_read(spec, field, default, "a finite number", _is_number))
 
 
 def _is_integer(value) -> bool:
@@ -102,7 +105,9 @@ def _path(spec: dict, field: str, base: Path) -> Path:
 def read_manifest(path: str | Path) -> dict:
     """Parse the manifest JSON, reporting the line of any syntax error."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):

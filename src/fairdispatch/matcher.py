@@ -277,7 +277,12 @@ def _exact_component(
 _HIGHS_TIE = 1e-9
 # Cost added per candidate index to steer HiGHS toward the tie-break among
 # tied optima; it exceeds HiGHS's 1e-7 optimality tolerance.  A nudged
-# solution is kept only if its true total reaches the optimum.
+# solution is kept only if its true total reaches the optimum.  The nudge
+# does not change the result: without it the handovers of desk days 0-11 and
+# of the 200 contended windows chose the same assignments.  It stays because
+# it saves HiGHS time: without it a pass over the contended windows spent
+# 2-3x as long in HiGHS, and city-M window 1's 92-vehicle component took
+# 3-4x as long.
 _LEX_NUDGE = 1e-6
 
 

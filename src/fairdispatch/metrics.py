@@ -9,7 +9,7 @@ object held by the scorer during a window is an immutable snapshot.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import fsum
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -109,9 +109,7 @@ def update_passenger_history(
     return PassengerHistory(requested, served)
 
 
-def update_driver_history(
-    history: DriverHistory, matching: "Matching", rewards: dict[int, float]
-) -> DriverHistory:
+def update_driver_history(history: DriverHistory, rewards: dict[int, float]) -> DriverHistory:
     """Accrue each vehicle's action reward to its driver."""
     incomes = dict(history.incomes)
     for driver, reward in rewards.items():
@@ -180,18 +178,6 @@ def equity_report(history: PassengerHistory | DriverHistory) -> EquityReport:
     )
 
 
-METRICS_COLUMNS = (
-    "window_index",
-    "overall_service_rate",
-    "passenger_f_gini",
-    "passenger_min",
-    "passenger_var",
-    "driver_f_gini",
-    "driver_min_raw",
-    "driver_var",
-)
-
-
 @dataclass(frozen=True)
 class WindowMetrics:
     window_index: int
@@ -204,16 +190,10 @@ class WindowMetrics:
     driver_var: float
 
     def as_row(self) -> list[str]:
-        return [
-            str(self.window_index),
-            repr(self.overall_service_rate),
-            repr(self.passenger_f_gini),
-            repr(self.passenger_min),
-            repr(self.passenger_var),
-            repr(self.driver_f_gini),
-            repr(self.driver_min_raw),
-            repr(self.driver_var),
-        ]
+        return [repr(getattr(self, name)) for name in METRICS_COLUMNS]
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(WindowMetrics))
 
 
 def write_metrics_csv(rows: Sequence[WindowMetrics], path: str | Path) -> None:

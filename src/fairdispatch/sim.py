@@ -178,7 +178,7 @@ def run_simulation(
 ) -> RunResult:
     """Run the full dispatch loop; bit-reproducible for identical inputs."""
     started = time.perf_counter()
-    if any(r.arrival >= cfg.horizon or r.arrival < 0 for r in requests):
+    if not all(0 <= r.arrival < cfg.horizon for r in requests):
         raise ConfigError("all request arrivals must lie within [0, horizon)")
     if any(requests[i].arrival > requests[i + 1].arrival for i in range(len(requests) - 1)):
         raise InputError("requests must be sorted by arrival time")
@@ -210,7 +210,7 @@ def run_simulation(
             for v in vehicles
         }
         hist_p = update_passenger_history(hist_p, window_batch, matching)
-        hist_d = update_driver_history(hist_d, matching, rewards)
+        hist_d = update_driver_history(hist_d, rewards)
         total_served += len(matching.served_request_ids())
 
         for v in vehicles:
@@ -239,12 +239,13 @@ def run_simulation(
     total_requests = len(requests)
     if total_served > total_requests:
         raise ContractError("served more requests than arrived")
+    # SimConfig guarantees at least one window, so the last window's reports are set.
     return RunResult(
         total_requests=total_requests,
         total_served=total_served,
         service_rate=total_served / total_requests if total_requests else 1.0,
-        passenger_report=_passenger_report_or_vacuous(hist_p),
-        driver_report=_driver_report_or_vacuous(hist_d),
+        passenger_report=p_report,
+        driver_report=d_report,
         window_rows=rows,
         passenger_history=hist_p,
         driver_history=hist_d,
@@ -667,7 +668,7 @@ def check_driver_theorem(
             v.id: sum(reward_of(rid) for rid in sorted(matching.assigned[v.id]))
             for v in inst.fleet
         }
-        return update_driver_history(hist_d, matching, rewards).scaled_income(j)
+        return update_driver_history(hist_d, rewards).scaled_income(j)
 
     baseline = updated_scaled(matching0)
     ladder_metrics: dict[float, float] = {}

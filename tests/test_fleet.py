@@ -131,7 +131,8 @@ def test_null_action_keeps_route(grid3):
 
 def test_matches_oracle_on_random_instances():
     rng = random.Random(17)
-    for trial in range(40):
+    sizes_seen = set()
+    for trial in range(120):
         rows, cols = rng.choice([(2, 3), (2, 4), (1, 8)])
         net = make_grid(rows, cols, float(rng.choice([30, 60, 90])))
         locs = net.locations
@@ -142,13 +143,15 @@ def test_matches_oracle_on_random_instances():
             drop = locs[rng.randrange(len(locs))]
             v.onboard = {99}
             v.route = [Stop(drop, 99, DROPOFF, rng.uniform(500, 2000))]
-        n = rng.randint(1, 3)
+        n = rng.randint(1, 4)
         batch = []
         for i in range(n):
             pickup, dropoff = rng.sample(locs, 2)
             batch.append(req(i, pickup, dropoff, arrival=rng.uniform(0, 50)))
         now = 60.0
-        cons = RideConstraints(max_wait=300.0, max_detour=rng.choice([120.0, 300.0]), max_bundle=2)
+        cons = RideConstraints(
+            max_wait=300.0, max_detour=rng.choice([120.0, 300.0]), max_bundle=rng.choice([2, 3])
+        )
         actions = feasible_actions(v, batch, now, net, cons)
         got = {a.request_ids(): a for a in actions}
         expected = oracle_feasible(v, batch, now, net, cons)
@@ -156,6 +159,14 @@ def test_matches_oracle_on_random_instances():
         base = expected[frozenset()]
         for ids, action in got.items():
             assert action.added_delay == pytest.approx(expected[ids] - base, abs=1e-9)
+        # The tie-break's candidate indices refer to this order: the null
+        # action, then bundles by size, then by ascending request ids.
+        keys = [tuple(r.id for r in a.requests) for a in actions]
+        assert keys[0] == ()
+        assert all(list(ids) == sorted(set(ids)) for ids in keys), f"trial {trial}"
+        assert keys == sorted(set(keys), key=lambda ids: (len(ids), ids)), f"trial {trial}"
+        sizes_seen.update(map(len, keys))
+    assert sizes_seen == {0, 1, 2, 3}
 
 
 def test_matches_oracle_from_mid_edge_states():

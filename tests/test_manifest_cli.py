@@ -83,6 +83,9 @@ CSV_LOADERS = {
     "value_table": (load_value_table, "0,1,2,0.5", len, None),
     "pricing": (load_pricing, "3,1.5", len, "3,-1.5"),
 }
+# The loaders whose last field is a float that only the record reader keeps
+# finite (the network loader's own check refuses a NaN or infinite cost).
+FINITE_ONLY_BY_READER = ("requests", "value_table", "pricing")
 
 
 @pytest.mark.parametrize("kind", sorted(CSV_LOADERS))
@@ -103,6 +106,13 @@ def test_csv_loaders_skip_comments_and_name_bad_lines(tmp_path, kind):
         path.write_text(f"# comment\n\n{rejected}\n")
         with pytest.raises(ParseError, match=rf"{kind}\.csv:3: "):
             load(path)
+    for special in ("nan", "inf") if kind in FINITE_ONLY_BY_READER else ():
+        path.write_text(f"{record}\n{','.join(fields[:-1] + [special])}\n")
+        with pytest.raises(ParseError, match=rf"{kind}\.csv:2: non-finite field"):
+            load(path)
+    path.write_bytes(b"\xff\xfe\x00" + record.encode())
+    with pytest.raises(ParseError, match=rf"{kind}\.csv: not UTF-8"):
+        load(path)
 
 
 def test_load_scenario_with_table_and_delay_vfa(tmp_path):
@@ -158,6 +168,15 @@ MALFORMED = {
     "string horizon": ({"horizon": "abc"}, "horizon", True),
     "fractional max_bundle": ({"max_bundle": 2.7}, "max_bundle", False),
     "fractional seed": ({"seed": 1.5}, "seed", False),
+    "NaN beta": ({"weights": {"beta": float("nan")}}, "weights.beta", False),
+    "NaN rate": (
+        {"requests": {"profile": {"rates": [[0, 0, float("nan")]], "seed": 5}}},
+        "requests.profile.rates[0].rate",
+        True,
+    ),
+    "infinite max_detour": ({"max_detour": float("inf")}, "max_detour", False),
+    "infinite vfa omega": ({"vfa": {"kind": "delay", "omega": float("-inf")}}, "vfa.omega", False),
+    "integer beyond float range": ({"max_wait": 10**400}, "max_wait", False),
 }
 
 
@@ -171,6 +190,21 @@ def test_malformed_manifest_exits_2_naming_the_field(tmp_path, capsys, case):
     for command in commands:
         assert main([*command, "--manifest", manifest]) == 2, command
         assert f"'{field}'" in capsys.readouterr().err, command
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_utf8_or_non_finite_inputs_exit_2(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_bytes(b"\xff\xfe\x00")
+    for command in (["validate-config"], ["run", "--out", str(tmp_path / "run")]):
+        assert main([*command, "--manifest", str(manifest)]) == 2, command
+        assert "not UTF-8" in capsys.readouterr().err, command
+    # a NaN arrival would stop the batcher: no later request reaches a window
+    (tmp_path / "req.csv").write_text("0,1,30\n1,2,nan\n2,3,90\n")
+    write_manifest(manifest, requests={"path": "req.csv"})
+    for command in (["validate-config"], ["run", "--out", str(tmp_path / "run")]):
+        assert main([*command, "--manifest", str(manifest)]) == 2, command
+        assert "req.csv:2: non-finite field" in capsys.readouterr().err, command
     assert not (tmp_path / "run").exists()
 
 

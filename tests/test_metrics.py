@@ -124,7 +124,7 @@ def test_passenger_mean_between_min_and_max():
 
 def test_driver_history_updates():
     hist = DriverHistory.zeroed([0, 1])
-    hist = update_driver_history(hist, matched({0: frozenset(), 1: frozenset({5})}), {0: 0.0, 1: 2.0})
+    hist = update_driver_history(hist, {0: 0.0, 1: 2.0})
     assert hist.incomes == {0: 0.0, 1: 2.0}
     assert hist.scaled_values() == [0.0, 1.0]
     assert hist.mean_scaled() == 0.5
@@ -132,7 +132,7 @@ def test_driver_history_updates():
 
 def test_driver_history_all_null_noop():
     hist = DriverHistory({0: 1.0, 1: 3.0})
-    updated = update_driver_history(hist, matched({0: frozenset(), 1: frozenset()}), {0: 0.0, 1: 0.0})
+    updated = update_driver_history(hist, {0: 0.0, 1: 0.0})
     assert updated.incomes == hist.incomes
 
 

@@ -140,6 +140,10 @@ def test_run_rejects_bad_inputs():
     late = [Request(0, 0, 1, 99999.0, GroupId(0, 0))]
     with pytest.raises(ConfigError):
         run_simulation(small_cfg(), net, part, late, fleet)
+    # a NaN arrival would stop the batcher: no later request reaches a window
+    nan_arrival = [Request(0, 0, 1, float("nan"), GroupId(0, 0)), Request(1, 1, 2, 30.0, GroupId(0, 0))]
+    with pytest.raises(ConfigError):
+        run_simulation(small_cfg(), net, part, nan_arrival, fleet)
 
 
 def test_async_greedy_matcher_runs_deterministically():
