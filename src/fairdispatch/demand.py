@@ -12,6 +12,11 @@ from ._records import read_records
 from .errors import ConfigError, InputError, ParseError
 from .network import AreaPartition, GroupId, StreetNetwork, group_of
 
+# Synthesis draws every active group once per step and keeps every request,
+# so both are capped before any drawing starts.
+MAX_DEMAND_STEPS = 1_000_000  # ceil(horizon / step)
+MAX_EXPECTED_REQUESTS = 1_000_000  # sum of rates times steps
+
 
 @dataclass(frozen=True)
 class Request:
@@ -44,6 +49,18 @@ class DemandProfile:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
         if not self.step_seconds > 0:
             raise ConfigError(f"step must be positive, got {self.step_seconds}")
+        steps = self.horizon / self.step_seconds
+        if not steps <= MAX_DEMAND_STEPS:
+            raise ConfigError(
+                f"horizon {self.horizon} / step {self.step_seconds} asks for more "
+                f"than {MAX_DEMAND_STEPS} demand steps"
+            )
+        expected = sum(self.rates.values()) * math.ceil(steps)
+        if not expected <= MAX_EXPECTED_REQUESTS:
+            raise ConfigError(
+                f"rates sum to {expected:.4g} expected requests over the horizon, "
+                f"above the ceiling of {MAX_EXPECTED_REQUESTS}"
+            )
 
 
 def load_requests(path: str | Path, partition: AreaPartition) -> list[Request]:

@@ -223,17 +223,13 @@ def load_scenario(path: str | Path) -> Scenario:
     doc = read_manifest(path)
     base = path.parent
 
-    net, partition = network_from(doc, base)
-    horizon = horizon_from(doc)
-    requests = requests_from(doc, base, net, partition, horizon)
-    fleet = fleet_from(doc, base, net)
+    # The config first: its checks are cheap and bound the work of the rest.
     pricing = None
     if "pricing" in doc:
         pricing = load_pricing(_path(_object(doc, "pricing"), "pricing.path", base))
-
     config = SimConfig(
         window_len=_number(doc, "window_len", 60.0),
-        horizon=horizon,
+        horizon=horizon_from(doc),
         max_wait=_number(doc, "max_wait", 300.0),
         max_detour=_number(doc, "max_detour", 300.0),
         max_bundle=_integer(doc, "max_bundle", 2),
@@ -244,4 +240,7 @@ def load_scenario(path: str | Path) -> Scenario:
         incentives_enabled=_boolean(doc, "incentives_enabled", True),
         pricing=pricing,
     )
+    net, partition = network_from(doc, base)
+    requests = requests_from(doc, base, net, partition, config.horizon)
+    fleet = fleet_from(doc, base, net)
     return Scenario(config, net, partition, requests, fleet)

@@ -1,23 +1,48 @@
 """Street graph, travel-time queries, and the geographic area partition.
 
 The network is a directed graph of integer location ids with strictly
-positive edge costs in seconds.  All-pairs shortest travel times (and the
-next hop along each shortest path) are precomputed at construction time,
-so lookups inside the dispatch loop are plain table reads.
+positive edge costs in seconds.  All-pairs shortest travel times, and the
+next hop along each shortest path, are precomputed at construction time with
+`scipy.sparse.csgraph.dijkstra`, a block of sources at a time, so lookups
+inside the dispatch loop are plain table reads returning `float` and `int`.
+
+Among equal-cost shortest paths the next hop is fixed by one rule.  The
+parent of t on paths from s is the in-neighbour u whose edge is tight
+(`d(s, u) + cost == d(s, t)`, compared as floats) with the least
+`(d(s, u), u)`; the next hop from s to t is the node of t's parent chain
+whose parent is s.  This is the path a heap Dijkstra finds when it settles
+nodes in (distance, id) order and relaxes only on a strictly shorter
+distance.  Parallel edges count at their cheapest cost; self-loops never lie
+on a shortest path.
+
+The two tables take 12 bytes per ordered pair of locations (a float64 and a
+C int), 12 * n**2 bytes in all, so a network above `MAX_LOCATIONS` is
+refused before either is allocated.  An edge whose cost vanishes against a
+finite distance it extends (`d(s, u) + cost == d(s, u)`, as with 1e-300
+beside 1000) is refused too: ties through it would follow the heap's order,
+not (distance, id).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
+
 from ._records import read_records
-from .errors import InputError, ParseError
+from .errors import ContractError, InputError, ParseError
 
 UNREACHABLE = math.inf
+# The distance and next-hop tables take 12 bytes per ordered pair of
+# locations (a float64 and a C int): 1.2 GB at this ceiling.
+MAX_LOCATIONS = 10_000
+_SOURCE_BLOCK = 128  # Dijkstra sources per block; bounds the per-block arrays
 
 
 class GroupId(NamedTuple):
@@ -38,8 +63,8 @@ class StreetNetwork:
     locations: tuple[int, ...]
     edges: tuple[tuple[int, int, float], ...]
     _index: dict[int, int] = field(repr=False)
-    _dist: list[list[float]] = field(repr=False)
-    _next_hop: list[list[int]] = field(repr=False)
+    _dist: list[array] = field(repr=False)
+    _next_hop: list[array] = field(repr=False)
 
     def __contains__(self, location: int) -> bool:
         return location in self._index
@@ -71,6 +96,8 @@ def from_edges(
 ) -> StreetNetwork:
     """Build a network from explicit locations and directed weighted edges."""
     locs = tuple(sorted(set(locations)))
+    if len(locs) > MAX_LOCATIONS:
+        raise InputError(_too_many(len(locs)))
     index = {loc: i for i, loc in enumerate(locs)}
     edge_list: list[tuple[int, int, float]] = []
     for u, v, cost in edges:
@@ -83,38 +110,84 @@ def from_edges(
     return StreetNetwork(locs, tuple(edge_list), index, dist, next_hop)
 
 
+def _too_many(count: int) -> str:
+    return (
+        f"{count} locations exceed the ceiling of {MAX_LOCATIONS}: "
+        "the travel tables take 12 bytes per ordered pair"
+    )
+
+
 def _all_pairs(
     locs: tuple[int, ...],
     index: dict[int, int],
     edges: list[tuple[int, int, float]],
-) -> tuple[list[list[float]], list[list[int]]]:
-    """Dijkstra from every source; returns dense distance and next-hop tables."""
+) -> tuple[list[array], list[array]]:
+    """Dijkstra from every source, a block at a time; returns distance and next-hop rows."""
     n = len(locs)
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    # csr_array sums parallel entries; the cheapest edge alone decides every
+    # shortest path, and a self-loop never lies on one.
+    cheapest: dict[tuple[int, int], float] = {}
     for u, v, cost in edges:
-        adjacency[index[u]].append((index[v], cost))
-    for neighbours in adjacency:
-        neighbours.sort()
+        pair = (index[u], index[v])
+        if pair[0] != pair[1] and cost < cheapest.get(pair, math.inf):
+            cheapest[pair] = cost
+    graph = csr_array(
+        (list(cheapest.values()), np.array(list(cheapest), dtype=np.intp).reshape(-1, 2).T),
+        shape=(n, n),
+    )
+    # ranked[j] holds the j-th in-edge, by ascending tail, of every node that
+    # has one; within a rank no two edges share a head.
+    ranked: list[list[tuple[int, int, float]]] = []
+    in_degree = [0] * n
+    for u, v in sorted(cheapest):
+        if in_degree[v] == len(ranked):
+            ranked.append([])
+        ranked[in_degree[v]].append((u, v, cheapest[u, v]))
+        in_degree[v] += 1
+    layers = []
+    for rank in ranked:
+        tails, heads, costs = zip(*rank)
+        layers.append((np.array(tails), np.array(heads), np.array(costs)[:, None]))
 
-    dist = [[UNREACHABLE] * n for _ in range(n)]
-    next_hop = [[-1] * n for _ in range(n)]
-    for src in range(n):
-        d = dist[src]
-        hop = next_hop[src]
-        d[src] = 0.0
-        hop[src] = src
-        heap = [(0.0, src)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > d[u]:
-                continue
-            first = hop[u]
-            for v, cost in adjacency[u]:
-                dv = du + cost
-                if dv < d[v]:
-                    d[v] = dv
-                    hop[v] = v if u == src else first
-                    heapq.heappush(heap, (dv, v))
+    dist: list[array] = []
+    next_hop: list[array] = []
+    for first in range(0, n, _SOURCE_BLOCK):
+        sources = np.arange(first, min(first + _SOURCE_BLOCK, n))
+        d = dijkstra(graph, indices=sources)
+        # Column k holds source k's distances, one row per node.
+        dt = np.ascontiguousarray(d.T)
+        # parent[t, k]: the in-neighbour u of t whose relaxation settled
+        # dt[t, k], the least (dt[u, k], u) among tight ones; n if none.
+        parent = np.full(dt.shape, n, dtype=np.intc)
+        least = np.full(dt.shape, np.inf)
+        for tails, heads, costs in layers:
+            via = dt[tails]
+            reach = via + costs
+            extends = np.isfinite(via)
+            if np.any(extends & (reach == via)):
+                e, k = np.argwhere(extends & (reach == via))[0]
+                raise InputError(
+                    f"edge ({locs[tails[e]]}, {locs[heads[e]]}) cost {float(costs[e, 0])!r} "
+                    f"vanishes against distance {float(via[e, k])!r}"
+                )
+            best = least[heads]
+            tight = extends & (reach == dt[heads]) & (via < best)
+            least[heads] = np.where(tight, via, best)
+            parent[heads] = np.where(tight, tails[:, None], parent[heads])
+        # The hop to t is the node of t's parent chain whose parent is the
+        # source; point every other chained node at its parent and double.
+        own = np.broadcast_to(np.arange(n, dtype=np.intc)[:, None], dt.shape)
+        hop = np.where((parent < n) & (parent != sources), parent, own)
+        for _ in range((n - 1).bit_length() + 1):
+            up = np.take_along_axis(hop, hop, axis=0)
+            if np.array_equal(up, hop):
+                break
+            hop = up
+        else:
+            raise ContractError("next-hop chains did not settle")
+        hop = np.where(np.isfinite(d), hop.T, np.intc(-1))
+        dist += [array("d", row.tobytes()) for row in d]
+        next_hop += [array("i", row.tobytes()) for row in hop]
     return dist, next_hop
 
 
@@ -122,6 +195,8 @@ def make_grid(rows: int, cols: int, edge_cost: float) -> StreetNetwork:
     """Bidirectional grid graph; location id of cell (r, c) is r * cols + c."""
     if rows < 1 or cols < 1:
         raise InputError(f"grid dimensions must be positive, got {rows}x{cols}")
+    if rows * cols > MAX_LOCATIONS:
+        raise InputError(f"grid {rows}x{cols}: {_too_many(rows * cols)}")
     if not edge_cost > 0:
         raise InputError(f"edge cost must be positive, got {edge_cost}")
     edges = []
@@ -145,8 +220,13 @@ def load_network(path: str | Path) -> StreetNetwork:
         if not (cost > 0 and math.isfinite(cost)):
             raise ParseError(f"{where}: edge cost must be positive, got {cost}")
         locations.update((u, v))
+        if len(locations) > MAX_LOCATIONS:
+            raise ParseError(f"{where}: {_too_many(len(locations))}")
         edges.append((u, v, cost))
-    return from_edges(locations, edges)
+    try:
+        return from_edges(locations, edges)
+    except InputError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .scoring import (
 )
 
 MATCHER_KINDS = ("ilp", "async_greedy")
+MAX_WINDOWS = 1_000_000  # a run's windows, horizon / window_len
 
 DEFAULT_WEIGHT_LADDER = (1.0, 10.0, 1e3, 1e6)
 
@@ -70,6 +71,11 @@ class SimConfig:
         for name in ("window_len", "horizon"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        if not self.horizon / self.window_len <= MAX_WINDOWS:
+            raise ConfigError(
+                f"horizon {self.horizon} / window_len {self.window_len} asks for more "
+                f"than {MAX_WINDOWS} windows"
+            )
         self.constraints()
         if self.n_windows * self.window_len != self.horizon:
             raise ConfigError(

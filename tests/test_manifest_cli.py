@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import fairdispatch.manifest
+import fairdispatch.network
 from fairdispatch.cli import main
 from fairdispatch.demand import load_requests
 from fairdispatch.errors import ConfigError, ParseError
@@ -191,6 +193,47 @@ def test_malformed_manifest_exits_2_naming_the_field(tmp_path, capsys, case):
         assert main([*command, "--manifest", manifest]) == 2, command
         assert f"'{field}'" in capsys.readouterr().err, command
     assert not (tmp_path / "run").exists()
+
+
+# Manifests that ask for too much work: the overrides and the text the error
+# must show.  Each is refused before synthesis starts, and an oversized
+# network before any all-pairs build.
+OVERSIZED = {
+    "windows": ({"horizon": 1e12, "window_len": 1e-3}, "window_len"),
+    "demand steps": (
+        {"requests": {"profile": {"rates": [[0, 0, 0.6]], "horizon": 1e8}}}, "step"
+    ),
+    "expected requests": ({"requests": {"profile": {"rates": [[0, 0, 1e9]]}}}, "rates"),
+    "grid locations": ({"network": {"grid": {"rows": 1000, "cols": 1000}}}, "grid 1000x1000"),
+    "network file locations": ({"network": {"path": "net.csv"}}, "net.csv:5001"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_manifest_exits_2_before_any_work(tmp_path, monkeypatch, capsys, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on an oversized manifest")
+
+    overrides, shown = OVERSIZED[case]
+    monkeypatch.setattr(fairdispatch.manifest, "synth_requests", refuse)
+    if "network" in overrides:
+        monkeypatch.setattr(fairdispatch.network, "dijkstra", refuse)
+    (tmp_path / "net.csv").write_text("".join(f"{2 * i},{2 * i + 1},60\n" for i in range(5001)))
+    manifest = str(write_manifest(tmp_path / "m.json", **overrides))
+    for command in (["validate-config"], ["run", "--out", str(tmp_path / "run")]):
+        assert main([*command, "--manifest", manifest]) == 2, command
+        assert shown in capsys.readouterr().err, command
+    assert not (tmp_path / "run").exists()
+
+
+def test_vanishing_edge_cost_exits_2(tmp_path, capsys):
+    (tmp_path / "net.csv").write_text("0,1,1000\n1,2,1e-300\n2,0,1000\n")
+    (tmp_path / "part.csv").write_text("0,0\n1,0\n2,0\n")
+    manifest = write_manifest(
+        tmp_path / "m.json", network={"path": "net.csv"}, partition={"path": "part.csv"}
+    )
+    assert main(["validate-config", "--manifest", str(manifest)]) == 2
+    assert "net.csv: edge (1, 2) cost 1e-300 vanishes" in capsys.readouterr().err
 
 
 def test_non_utf8_or_non_finite_inputs_exit_2(tmp_path, capsys):

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import heapq
 import math
+from array import array
+import pickle
 import random
 
 import pytest
 
+import fairdispatch.network as network_module
 from fairdispatch.errors import InputError, ParseError
 from fairdispatch.network import (
+    MAX_LOCATIONS,
     UNREACHABLE,
     AreaPartition,
     GroupId,
@@ -37,6 +42,136 @@ def brute_force_shortest(locations, edges, origin, dest):
 
     walk(origin, 0.0, {origin})
     return best
+
+
+def heap_all_pairs(locations, edges):
+    """Oracle: a heap Dijkstra from every source, in location-index space.
+
+    Nodes settle in (distance, index) order and a relaxation needs a strictly
+    shorter distance, so each node keeps the first settled tight in-neighbour
+    as its parent; the next hop is the first node after the source on that
+    parent chain.
+    """
+    index = {loc: i for i, loc in enumerate(locations)}
+    n = len(locations)
+    adjacency = [[] for _ in range(n)]
+    for u, v, cost in edges:
+        adjacency[index[u]].append((index[v], cost))
+    for neighbours in adjacency:
+        neighbours.sort()
+
+    dist = [[UNREACHABLE] * n for _ in range(n)]
+    next_hop = [[-1] * n for _ in range(n)]
+    for src in range(n):
+        d = dist[src]
+        hop = next_hop[src]
+        d[src] = 0.0
+        hop[src] = src
+        heap = [(0.0, src)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > d[u]:
+                continue
+            first = hop[u]
+            for v, cost in adjacency[u]:
+                dv = du + cost
+                if dv < d[v]:
+                    d[v] = dv
+                    hop[v] = v if u == src else first
+                    heapq.heappush(heap, (dv, v))
+    return dist, next_hop
+
+
+def assert_tables_match_heap(net):
+    dist, next_hop = heap_all_pairs(net.locations, net.edges)
+    # bit-identical distances, as float.hex would compare them
+    assert [row.tobytes() for row in net._dist] == [array("d", row).tobytes() for row in dist]
+    assert [list(row) for row in net._next_hop] == next_hop
+
+
+def random_digraph(rng):
+    """Non-contiguous ids, parallel edges, self-loops and unreachable pairs."""
+    locations = rng.sample(range(-50, 200), rng.randint(1, 14))
+    costs = [1.0, 2.0, 3.0, 0.1, 0.2, 0.3, 1 / 3, 2 / 3]
+    edges = []
+    for u in locations:
+        for v in locations:
+            while rng.random() < 0.3:
+                edges.append((u, v, rng.choice(costs)))
+    return locations, edges
+
+
+@pytest.mark.parametrize(
+    "rows, cost",
+    [(6, 1 / 3), (6, 0.1), (10, 1 / 3), (10, 0.1), (20, 1 / 3), (20, 0.1), (40, 1 / 3)],
+)
+def test_grid_tables_match_heap_dijkstra(rows, cost):
+    assert_tables_match_heap(make_grid(rows, rows, cost))
+
+
+def test_small_tables_match_heap_dijkstra(tmp_path):
+    (tmp_path / "empty.csv").write_text("")
+    assert_tables_match_heap(load_network(tmp_path / "empty.csv"))
+    assert_tables_match_heap(make_grid(1, 1, 60.0))
+    # parallel edges (the dearer one first), self-loops, two components and
+    # asymmetric costs with an equal-cost detour
+    edges = [
+        (10, 20, 5.0), (10, 20, 2.0), (20, 20, 1.0), (20, 30, 1.0), (10, 30, 3.0),
+        (30, 10, 9.0), (40, 50, 1.0), (50, 40, 4.0), (40, 40, 0.5),
+    ]
+    net = from_edges([10, 20, 30, 40, 50], edges)
+    assert_tables_match_heap(net)
+    # 10 -> 30 direct (3) ties 10 -> 20 -> 30 (2 + 1); the parent with the
+    # least (distance, id) is the source itself
+    assert net.next_hop(10, 30) == 30
+    assert net.travel_time(20, 40) == UNREACHABLE
+
+
+def test_random_digraph_tables_match_heap_dijkstra():
+    rng = random.Random(11)
+    for _ in range(60):
+        assert_tables_match_heap(from_edges(*random_digraph(rng)))
+
+
+def test_pickled_network_answers_the_same_lookups():
+    net = make_grid(6, 6, 1 / 3)
+    copy = pickle.loads(pickle.dumps(net))
+    for a in net.locations:
+        for b in net.locations:
+            assert copy.travel_time(a, b).hex() == net.travel_time(a, b).hex()
+            assert copy.next_hop(a, b) == net.next_hop(a, b)
+    assert type(copy.travel_time(0, 35)) is float and type(copy.next_hop(0, 35)) is int
+
+
+def test_oversized_networks_are_refused_before_any_dijkstra(tmp_path, monkeypatch):
+    def no_dijkstra(*args, **kwargs):
+        raise AssertionError("dijkstra ran")
+
+    monkeypatch.setattr(network_module, "dijkstra", no_dijkstra)
+    with pytest.raises(InputError, match="ceiling"):
+        from_edges(range(MAX_LOCATIONS + 1), [])
+    with pytest.raises(InputError, match="ceiling"):
+        make_grid(MAX_LOCATIONS, 2, 60.0)
+    with pytest.raises(InputError, match="ceiling"):
+        make_grid(10**9, 10**9, 60.0)
+    path = tmp_path / "net.csv"
+    path.write_text("".join(f"{2 * i},{2 * i + 1},60\n" for i in range(MAX_LOCATIONS)))
+    last = MAX_LOCATIONS // 2 + 1  # the line that brings the count past the ceiling
+    with pytest.raises(ParseError, match=f"net.csv:{last}: .*ceiling"):
+        load_network(path)
+
+
+def test_vanishing_edge_cost_is_refused(tmp_path):
+    # 1000 + 1e-300 == 1000: the heap's order, not (distance, id), would break its ties
+    edges = [(0, 1, 1000.0), (1, 2, 1e-300), (2, 1, 1e-300)]
+    with pytest.raises(InputError, match="vanishes"):
+        from_edges([0, 1, 2], edges)
+    path = tmp_path / "net.csv"
+    path.write_text("0,1,1000\n1,2,1e-300\n")
+    with pytest.raises(ParseError, match="net.csv: edge \\(1, 2\\) cost 1e-300 vanishes"):
+        load_network(path)
+    # the same cost beside costs of its own scale is kept
+    assert from_edges([0, 1, 2], [(0, 1, 1e-300), (1, 2, 1e-300)]).travel_time(0, 2) == 2e-300
 
 
 def test_travel_time_identity(grid3):
