@@ -63,16 +63,20 @@ class DemandProfile:
             )
 
 
-def load_requests(path: str | Path, partition: AreaPartition) -> list[Request]:
+def load_requests(path: str | Path, partition: AreaPartition, net: StreetNetwork) -> list[Request]:
     """Parse a request CSV `pickup,dropoff,arrival[,ignored]` sorted by arrival.
 
     Ids are assigned in file order before sorting, so replayed traces keep
-    stable identities regardless of arrival-time ordering in the file.
+    stable identities regardless of arrival-time ordering in the file.  A
+    request at a location the network lacks is refused at its line.
     """
     out: list[Request] = []
     next_id = 0
     records = read_records(path, "pickup,dropoff,arrival", (int, int, float), optional=1)
     for where, (pickup, dropoff, arrival) in records:
+        for loc in (pickup, dropoff):
+            if loc not in net:
+                raise ParseError(f"{where}: request {next_id}: location {loc} is not in the network")
         try:
             request = Request(
                 next_id, pickup, dropoff, arrival, group_of(partition, pickup, dropoff)

@@ -5,7 +5,13 @@ route while honouring pickup deadlines (request arrival plus the maximum
 wait), dropoff deadlines (pickup time plus direct travel plus the detour
 allowance), and capacity.  Route plans are found by exhaustive search over
 stop orderings, so each returned action carries the minimum added travel
-time realisation of its request set.
+time realisation of its request set.  The search keeps the first fastest
+order it finds with the pickup times along it, so a plan's new dropoff
+deadlines come from the search, not from a second walk of the order.
+
+That search is factorial in the number of stops, so capacity and bundle
+size have ceilings (MAX_CAPACITY, MAX_BUNDLE), and so does the fleet
+(MAX_FLEET), since every vehicle is enumerated in every window.
 """
 
 from __future__ import annotations
@@ -25,6 +31,19 @@ from .network import StreetNetwork
 PICKUP = "pickup"
 DROPOFF = "dropoff"
 
+# The plan search tries every order of a vehicle's stops: its onboard
+# passengers' dropoffs plus two stops per bundled request, so its work grows
+# factorially with capacity plus bundle size.  With deadlines that prune
+# nothing (10x10 grid, worst of five draws), one search took 169 ms at
+# capacity 6 and bundle 4 (ten stops), 9 ms at capacity 4 and bundle 4, and
+# 1.0 s at capacity 8 and bundle 2, 5.5 s at capacity 8 and bundle 4.
+MAX_CAPACITY = 6
+MAX_BUNDLE = 4
+# Every vehicle is enumerated, scored, matched and advanced in every window:
+# at 10,000 vehicles `random_fleet` takes 0.2 s and 4.5 MB and one window's
+# problem with no requests 0.08 s; at 100,000 that window alone takes 0.95 s.
+MAX_FLEET = 10_000
+
 
 @dataclass(frozen=True)
 class Stop:
@@ -43,9 +62,10 @@ class RideConstraints:
     def __post_init__(self) -> None:
         if not self.max_wait > 0:
             raise ConfigError(f"max_wait must be positive, got {self.max_wait}")
-        if not (self.max_detour >= 0 and self.max_bundle >= 1):
+        if not (self.max_detour >= 0 and 1 <= self.max_bundle <= MAX_BUNDLE):
             raise ConfigError(
-                f"max_detour must be >= 0 and max_bundle >= 1, got {self.max_detour}, {self.max_bundle}"
+                f"max_detour must be >= 0 and max_bundle in 1..{MAX_BUNDLE}, "
+                f"got {self.max_detour}, {self.max_bundle}"
             )
 
 
@@ -62,8 +82,8 @@ class VehicleState:
     edge_progress: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise InputError(f"vehicle {self.id}: capacity must be >= 1")
+        if not 1 <= self.capacity <= MAX_CAPACITY:
+            raise InputError(f"vehicle {self.id}: capacity must be in 1..{MAX_CAPACITY}, got {self.capacity}")
         if len(self.onboard) > self.capacity:
             raise InputError(f"vehicle {self.id}: onboard exceeds capacity")
 
@@ -113,10 +133,7 @@ def null_action(v: VehicleState) -> Action:
     return Action(requests=(), plan=tuple(v.route), added_delay=0.0)
 
 
-def _route_completion(
-    start: int, offset: float, now: float, stops: Sequence[Stop], net: StreetNetwork
-) -> float:
-    t = now + offset
+def _route_completion(start: int, t: float, stops: Sequence[Stop], net: StreetNetwork) -> float:
     pos = start
     for stop in stops:
         t += net.travel_time(pos, stop.location)
@@ -125,23 +142,24 @@ def _route_completion(
 
 
 class _PlanSearch:
-    """Exhaustive minimum-completion-time ordering of existing and new stops."""
+    """Exhaustive minimum-completion-time ordering of existing and new stops.
+
+    Runs on construction and keeps the first fastest order (tokens) with a
+    copy of its pickup times, from which `plan` reads the new deadlines.
+    """
 
     def __init__(
         self,
         v: VehicleState,
         new_requests: Sequence[Request],
-        now: float,
+        start: int,
+        t0: float,
         net: StreetNetwork,
         constraints: RideConstraints,
     ):
         self.net = net
         self.max_detour = constraints.max_detour
         self.capacity = v.capacity
-        start, offset = v.planning_origin(net)
-        self.start = start
-        self.t0 = now + offset
-        self.count0 = len(v.onboard)
         # token = (location, request_id, kind, deadline or None for new dropoffs)
         self.tokens: list[tuple[int, int, str, float | None]] = [
             (s.location, s.request_id, s.kind, s.deadline) for s in v.route
@@ -154,15 +172,19 @@ class _PlanSearch:
         self.pickup_index = {
             tok[1]: i for i, tok in enumerate(self.tokens) if tok[2] == PICKUP
         }
-        self.n = len(self.tokens)
+        self.full = (1 << len(self.tokens)) - 1
         self.best_time = float("inf")
-        self.best_order: tuple[int, ...] | None = None
+        self.best_order: tuple[tuple[int, int, str, float | None], ...] | None = None
+        self.best_pickups: dict[int, float] = {}
+        self._extend(start, t0, len(v.onboard), 0, {}, [])
 
-    def run(self) -> tuple[tuple[Stop, ...], float] | None:
-        self._extend(self.start, self.t0, self.count0, 0, {}, [])
-        if self.best_order is None:
-            return None
-        return self._materialise(), self.best_time
+    def plan(self) -> tuple[Stop, ...]:
+        """The best order's stops; a new dropoff is due `max_detour` after its direct ride."""
+        due = {rid: self.best_pickups[rid] + d + self.max_detour for rid, d in self.direct.items()}
+        return tuple(
+            Stop(loc, rid, kind, due[rid] if deadline is None else deadline)
+            for loc, rid, kind, deadline in self.best_order
+        )
 
     def _extend(
         self,
@@ -171,18 +193,21 @@ class _PlanSearch:
         count: int,
         placed: int,
         pickup_times: dict[int, float],
-        order: list[int],
+        order: list[tuple[int, int, str, float | None]],
     ) -> None:
         if t >= self.best_time:
             return
-        if placed == (1 << self.n) - 1:
+        if placed == self.full:
             self.best_time = t
             self.best_order = tuple(order)
+            self.best_pickups = dict(pickup_times)
             return
         travel = self.net.travel_time
-        for i, (loc, rid, kind, deadline) in enumerate(self.tokens):
+        tokens = self.tokens
+        for i, token in enumerate(tokens):
             if placed & (1 << i):
                 continue
+            loc, rid, kind, deadline = token
             if kind == DROPOFF:
                 pk = self.pickup_index.get(rid)
                 if pk is not None and not placed & (1 << pk):
@@ -194,42 +219,20 @@ class _PlanSearch:
             t2 = t + travel(pos, loc)
             if t2 > deadline:
                 continue
-            if not self._rest_reachable(loc, t2, placed | (1 << i)):
-                continue
-            if kind == PICKUP:
-                pickup_times[rid] = t2
-                self._extend(loc, t2, count + 1, placed | (1 << i), pickup_times, order + [i])
-                del pickup_times[rid]
+            after = placed | (1 << i)
+            # Every unplaced stop with a known deadline must still be reachable
+            # in time from here; travel times satisfy the triangle inequality,
+            # so t2 + direct distance lower-bounds its eventual visit time.
+            for j, (other, _rid, _kind, due) in enumerate(tokens):
+                if not after & (1 << j) and due is not None and t2 + travel(loc, other) > due:
+                    break
             else:
-                self._extend(loc, t2, count - 1, placed | (1 << i), pickup_times, order + [i])
-
-    def _rest_reachable(self, pos: int, t: float, placed: int) -> bool:
-        # Every unplaced stop with a known deadline must still be reachable in
-        # time from here; travel times satisfy the triangle inequality, so
-        # t + direct distance lower-bounds its eventual visit time.
-        travel = self.net.travel_time
-        for i, (loc, _rid, _kind, deadline) in enumerate(self.tokens):
-            if placed & (1 << i) or deadline is None:
-                continue
-            if t + travel(pos, loc) > deadline:
-                return False
-        return True
-
-    def _materialise(self) -> tuple[Stop, ...]:
-        stops: list[Stop] = []
-        pickup_times: dict[int, float] = {}
-        pos = self.start
-        t = self.t0
-        for i in self.best_order:
-            loc, rid, kind, deadline = self.tokens[i]
-            t += self.net.travel_time(pos, loc)
-            pos = loc
-            if kind == PICKUP:
-                pickup_times[rid] = t
-            if deadline is None:
-                deadline = pickup_times[rid] + self.direct[rid] + self.max_detour
-            stops.append(Stop(loc, rid, kind, deadline))
-        return tuple(stops)
+                if kind == PICKUP:
+                    pickup_times[rid] = t2
+                    self._extend(loc, t2, count + 1, after, pickup_times, order + [token])
+                    del pickup_times[rid]
+                else:
+                    self._extend(loc, t2, count - 1, after, pickup_times, order + [token])
 
 
 def feasible_actions(
@@ -255,12 +258,13 @@ def feasible_actions(
         return actions
 
     start, offset = v.planning_origin(net)
-    base_completion = _route_completion(start, offset, now, v.route, net)
+    t0 = now + offset
+    base_completion = _route_completion(start, t0, v.route, net)
     by_id = {r.id: r for r in batch}
     pool = sorted(
         r.id
         for r in batch
-        if now + offset + net.travel_time(start, r.pickup) <= r.arrival + constraints.max_wait
+        if t0 + net.travel_time(start, r.pickup) <= r.arrival + constraints.max_wait
     )
     smaller: set[tuple[int, ...]] = {()}
     for size in range(1, room + 1):
@@ -269,10 +273,9 @@ def feasible_actions(
             if not smaller.issuperset(combinations(ids, size - 1)):
                 continue
             requests = tuple(by_id[rid] for rid in ids)
-            found = _PlanSearch(v, requests, now, net, constraints).run()
-            if found is not None:
-                plan, completion = found
-                actions.append(Action(requests, plan, completion - base_completion))
+            search = _PlanSearch(v, requests, start, t0, net, constraints)
+            if search.best_order is not None:
+                actions.append(Action(requests, search.plan(), search.best_time - base_completion))
                 layer.add(ids)
         smaller = layer
         pool = sorted({rid for ids in layer for rid in ids})
@@ -358,6 +361,8 @@ def load_fleet(path: str | Path, net: StreetNetwork) -> list[VehicleState]:
     for where, (vid, start, capacity) in read_records(path, "id,start,capacity", (int, int, int)):
         if vid in seen:
             raise ParseError(f"{where}: duplicate vehicle id {vid}")
+        if len(fleet) == MAX_FLEET:
+            raise ParseError(f"{where}: fleet size exceeds the ceiling of {MAX_FLEET} vehicles")
         if start not in net:
             raise ParseError(f"{where}: unknown start location {start}")
         try:
@@ -374,8 +379,8 @@ def random_fleet(
     size: int, capacity: int, net: StreetNetwork, seed: int
 ) -> list[VehicleState]:
     """Fleet with uniformly drawn start locations, reproducible by seed."""
-    if size < 1:
-        raise InputError(f"fleet size must be >= 1, got {size}")
+    if not 1 <= size <= MAX_FLEET:
+        raise InputError(f"fleet size must be in 1..{MAX_FLEET}, got {size}")
     rng = np.random.default_rng(seed)
     locations = net.locations
     return [

@@ -175,7 +175,7 @@ def requests_from(
 ) -> list[Request]:
     spec = _object(doc, "requests")
     if "path" in spec:
-        return load_requests(_path(spec, "requests.path", base), partition)
+        return load_requests(_path(spec, "requests.path", base), partition, net)
     if "profile" in spec:
         profile = _profile_from(_object(spec, "requests.profile"), horizon)
         return synth_requests(profile, net, partition)
@@ -241,6 +241,16 @@ def load_scenario(path: str | Path) -> Scenario:
         pricing=pricing,
     )
     net, partition = network_from(doc, base)
+    if config.vfa.kind == "table":
+        # The table is keyed by the area of a vehicle's location or plan end,
+        # and vehicles pass through every location.
+        unmapped = [loc for loc in net.locations if loc not in partition.area_of]
+        if unmapped:
+            raise _fail(
+                "partition",
+                f"vfa.kind 'table' needs an area for every network location; "
+                f"location {unmapped[0]} has none ({len(unmapped)} unmapped)",
+            )
     requests = requests_from(doc, base, net, partition, config.horizon)
     fleet = fleet_from(doc, base, net)
     return Scenario(config, net, partition, requests, fleet)

@@ -23,7 +23,8 @@ A component that exceeds it is solved by HiGHS through scipy instead: LP
 relaxations and zero-gap MILPs give the optimum, and fixing vehicles in
 ascending id order rebuilds the same tie-break.  Within the budget results
 are exact and lexicographic; beyond it they are optimal and tie-broken to
-HiGHS's tolerance.  scipy is imported only on that path.
+HiGHS's tolerance.  scipy's `optimize` is imported with this module, so
+the first handover of a process does not pay for it.
 
 A Matching stores only the vehicles that leave candidate index 0 or serve
 requests, so its size follows the vehicles served, not the fleet.
@@ -38,6 +39,11 @@ from dataclasses import dataclass
 from math import inf
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+from scipy import optimize  # linprog and milp are read through it, so patching them applies
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.sparse import csc_array
 
 from .errors import ContractError, InputError, InstanceTooLargeError
 
@@ -65,16 +71,6 @@ class MatchProblem:
         vehicle_ids = tuple(sorted(candidates))
         frozen = {v: tuple(candidates[v]) for v in vehicle_ids}
         return cls(vehicle_ids, frozen, frozenset(batch_ids))
-
-    def validate(self) -> None:
-        for v in self.vehicle_ids:
-            cands = self.candidates[v]
-            if not any(not c.requests for c in cands):
-                raise InputError(f"vehicle {v} has no null candidate")
-            for c in cands:
-                stray = c.requests - self.batch_ids
-                if stray:
-                    raise InputError(f"vehicle {v} references requests outside the batch: {sorted(stray)}")
 
 
 _NO_REQUESTS: frozenset[int] = frozenset()
@@ -132,14 +128,22 @@ class Matching:
 
 
 def _masks(p: MatchProblem) -> dict[int, list[tuple[int, float]]]:
-    bit = {rid: i for i, rid in enumerate(sorted(p.batch_ids))}
+    """Each vehicle's (request bitmask, score) rows; refuses a malformed problem as it reads it."""
+    bit = {rid: 1 << i for i, rid in enumerate(sorted(p.batch_ids))}
     out: dict[int, list[tuple[int, float]]] = {}
     for v in p.vehicle_ids:
+        cands = p.candidates[v]
+        if not any(not c.requests for c in cands):
+            raise InputError(f"vehicle {v} has no null candidate")
         rows = []
-        for c in p.candidates[v]:
+        for c in cands:
             mask = 0
-            for rid in c.requests:
-                mask |= 1 << bit[rid]
+            try:
+                for rid in c.requests:
+                    mask |= bit[rid]
+            except KeyError:
+                stray = sorted(c.requests - p.batch_ids)
+                raise InputError(f"vehicle {v} references requests outside the batch: {stray}") from None
             rows.append((mask, c.score))
         out[v] = rows
     return out
@@ -338,9 +342,6 @@ class _HighsModel:
     """
 
     def __init__(self, vehicles: list[int], masks: dict[int, list[tuple[int, float]]]) -> None:
-        import numpy as np
-        from scipy.sparse import csc_array
-
         self.vehicles = vehicles
         self.columns = [(v, i) for v in vehicles for i in range(len(masks[v]))]
         self.column_masks = [masks[v][i][0] for v, i in self.columns]
@@ -376,9 +377,6 @@ class _HighsModel:
         returns its assignment and no prices.  `nudged` solves with the
         tie-steering costs, whose optimum may fall short of the true one.
         """
-        import numpy as np
-        from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-
         free_rows = [r for r, v in enumerate(self.vehicles) if v not in fixed]
         if not free_rows:
             return {}, {}
@@ -391,7 +389,7 @@ class _HighsModel:
         a_eq = self.a_eq[:, keep][free_rows]
         a_ub = self.a_ub[:, keep]
         if integral:
-            result = milp(
+            result = optimize.milp(
                 cost,
                 constraints=[LinearConstraint(a_eq, 1.0, 1.0), LinearConstraint(a_ub, -inf, 1.0)],
                 integrality=np.ones(len(keep)),
@@ -399,7 +397,7 @@ class _HighsModel:
                 options={"mip_rel_gap": 0},
             )
         else:
-            result = linprog(
+            result = optimize.linprog(
                 cost,
                 A_ub=a_ub,
                 b_ub=np.ones(len(self.bits)),
@@ -427,8 +425,6 @@ class _HighsModel:
 
     def _assignment(self, keep: list[int], x, n_vehicles: int) -> dict[int, int] | None:
         """The assignment a 0/1 solution encodes; None if it is fractional or infeasible."""
-        import numpy as np
-
         if np.abs(x - np.round(x)).max() > 1e-6:
             return None
         chosen: dict[int, int] = {}
@@ -518,7 +514,6 @@ def solve_ilp(p: MatchProblem) -> Matching:
     tolerance, and the same tie-break holds among assignments within a
     relative 1e-9 of that optimum.
     """
-    p.validate()
     masks = _masks(p)
     chosen: dict[int, int] = {}
     for component in _components(p, masks):
@@ -544,7 +539,7 @@ def brute_force_match(p: MatchProblem) -> Matching:
     Applies the same tie-breaking rule as solve_ilp; refuses instances whose
     candidate-list product exceeds the enumeration budget.
     """
-    p.validate()
+    masks = _masks(p)
     size = 1
     for v in p.vehicle_ids:
         size *= len(p.candidates[v])
@@ -552,7 +547,6 @@ def brute_force_match(p: MatchProblem) -> Matching:
             raise InstanceTooLargeError(
                 f"assignment space exceeds {BRUTE_FORCE_BUDGET} joint actions"
             )
-    masks = _masks(p)
     vehicles = p.vehicle_ids
     best = -inf
     best_chosen: dict[int, int] | None = None
@@ -580,7 +574,6 @@ def brute_force_match(p: MatchProblem) -> Matching:
 
 def async_greedy_match(p: MatchProblem, seed: int) -> Matching:
     """Decentralised baseline: vehicles pick greedily in seed-shuffled order."""
-    p.validate()
     masks = _masks(p)
     order = list(p.vehicle_ids)
     random.Random(seed).shuffle(order)

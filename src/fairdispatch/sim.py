@@ -211,21 +211,18 @@ def run_simulation(
         )
         matching = _solve(problem, cfg, k)
 
-        rewards = {
-            v.id: immediate_reward(actions_by[v.id][matching.chosen[v.id]], cfg.pricing)
-            for v in vehicles
-        }
+        # The histories never read vehicle state, so vehicles move first.
+        rewards: dict[int, float] = {}
+        for v in vehicles:
+            chosen = actions_by[v.id][matching.chosen[v.id]]
+            rewards[v.id] = immediate_reward(chosen, cfg.pricing)
+            advance(v, chosen, cfg.window_len, net)
         hist_p = update_passenger_history(hist_p, window_batch, matching)
         hist_d = update_driver_history(hist_d, rewards)
         total_served += len(matching.served_request_ids())
 
-        for v in vehicles:
-            advance(v, actions_by[v.id][matching.chosen[v.id]], cfg.window_len, net)
-
         if trace is not None:
-            trace.append(
-                {v.id: tuple(sorted(matching.assigned[v.id])) for v in vehicles}
-            )
+            trace.append({v: tuple(sorted(ids)) for v, ids in matching.assigned.items()})
 
         p_report = _passenger_report_or_vacuous(hist_p)
         d_report = _driver_report_or_vacuous(hist_d)

@@ -95,6 +95,30 @@ def oracle_feasible(v, batch, now, net, constraints):
     return results
 
 
+def assert_plans_walk(v, batch, now, net, constraints, actions):
+    """Each plan, walked from the vehicle's origin, gives its new dropoffs'
+    deadlines exactly and completes `added_delay` after the null plan."""
+    start, offset = v.planning_origin(net)
+
+    def walk(plan):
+        t, pos, pickups = now + offset, start, {}
+        for stop in plan:
+            t += net.travel_time(pos, stop.location)
+            pos = stop.location
+            if stop.kind == PICKUP:
+                pickups[stop.request_id] = t
+            elif stop.request_id in by_id:
+                r = by_id[stop.request_id]
+                direct = net.travel_time(r.pickup, r.dropoff)
+                assert stop.deadline == pickups[r.id] + direct + constraints.max_detour
+        return t
+
+    by_id = {r.id: r for r in batch}
+    base = walk(v.route)
+    for action in actions:
+        assert walk(action.plan) - base == action.added_delay
+
+
 def test_empty_batch_yields_only_null(grid3):
     v = VehicleState(0, 4, capacity=2)
     actions = feasible_actions(v, [], 60.0, grid3, C)
@@ -153,6 +177,7 @@ def test_matches_oracle_on_random_instances():
             max_wait=300.0, max_detour=rng.choice([120.0, 300.0]), max_bundle=rng.choice([2, 3])
         )
         actions = feasible_actions(v, batch, now, net, cons)
+        assert_plans_walk(v, batch, now, net, cons, actions)
         got = {a.request_ids(): a for a in actions}
         expected = oracle_feasible(v, batch, now, net, cons)
         assert set(got) == set(expected), f"trial {trial}"
@@ -184,7 +209,9 @@ def test_matches_oracle_from_mid_edge_states():
         for i in range(2):
             pickup, dropoff = rng.sample(range(8), 2)
             batch.append(req(i, pickup, dropoff, arrival=rng.uniform(0.0, now)))
-        got = {a.request_ids(): a for a in feasible_actions(v, batch, now, net, C)}
+        actions = feasible_actions(v, batch, now, net, C)
+        assert_plans_walk(v, batch, now, net, C, actions)
+        got = {a.request_ids(): a for a in actions}
         expected = oracle_feasible(v, batch, now, net, C)
         assert set(got) == set(expected), f"trial {trial}"
         base = expected[frozenset()]

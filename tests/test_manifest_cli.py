@@ -81,7 +81,12 @@ CSV_LOADERS = {
     "network": (load_network, "0,1,60", lambda net: len(net.edges), "0,1,0"),
     "partition": (load_partition, "0,0", lambda part: len(part.area_of), None),
     "fleet": (lambda path: load_fleet(path, make_grid(2, 2, 60.0)), "0,1,2", len, "0,1,0"),
-    "requests": (lambda path: load_requests(path, grid_partition(2, 2, 1, 2)), "0,1,30.5", len, "1,1,30.5"),
+    "requests": (
+        lambda path: load_requests(path, grid_partition(2, 2, 1, 2), make_grid(2, 2, 60.0)),
+        "0,1,30.5",
+        len,
+        "1,1,30.5",
+    ),
     "value_table": (load_value_table, "0,1,2,0.5", len, None),
     "pricing": (load_pricing, "3,1.5", len, "3,-1.5"),
 }
@@ -219,6 +224,49 @@ def test_oversized_manifest_exits_2_before_any_work(tmp_path, monkeypatch, capsy
     if "network" in overrides:
         monkeypatch.setattr(fairdispatch.network, "dijkstra", refuse)
     (tmp_path / "net.csv").write_text("".join(f"{2 * i},{2 * i + 1},60\n" for i in range(5001)))
+    manifest = str(write_manifest(tmp_path / "m.json", **overrides))
+    for command in (["validate-config"], ["run", "--out", str(tmp_path / "run")]):
+        assert main([*command, "--manifest", manifest]) == 2, command
+        assert shown in capsys.readouterr().err, command
+    assert not (tmp_path / "run").exists()
+
+
+# Scenarios whose pieces disagree or that pass a ceiling: the overrides and
+# the text the error must show (the field, or the request and location).
+# The line network 0-1-2 below has no location 7; its partition maps 0 and 1
+# to area 0 and, in "part.csv", 2 and 7 to area 1.
+REFUSED = {
+    "request off the network": (
+        {"network": {"path": "net.csv"}, "partition": {"path": "part.csv"},
+         "requests": {"path": "req.csv"}, "fleet": {"path": "fleet.csv"}},
+        "req.csv:2: request 1: location 7 is not in the network",
+    ),
+    "table value function on a partition gap": (
+        {"network": {"path": "net.csv"}, "partition": {"path": "gap.csv"},
+         "requests": {"path": "gap-req.csv"}, "fleet": {"path": "fleet.csv"},
+         "vfa": {"kind": "table", "path": "vfa.csv"}},
+        "'partition': vfa.kind 'table' needs an area for every network location; location 2",
+    ),
+    "random fleet size": ({"fleet": {"random": {"size": 10_001, "capacity": 2}}}, "fleet size"),
+    "fleet file size": ({"fleet": {"path": "big-fleet.csv"}}, "big-fleet.csv:10001: fleet size"),
+    "random fleet capacity": ({"fleet": {"random": {"size": 2, "capacity": 7}}}, "capacity"),
+    "fleet file capacity": ({"fleet": {"path": "wide-fleet.csv"}}, "wide-fleet.csv:1: vehicle 0: capacity"),
+    "max_bundle": ({"max_bundle": 5}, "max_bundle"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_disagreeing_or_oversized_scenario_exits_2(tmp_path, capsys, case):
+    (tmp_path / "net.csv").write_text("0,1,60\n1,0,60\n1,2,60\n2,1,60\n")
+    (tmp_path / "part.csv").write_text("0,0\n1,0\n2,1\n7,1\n")
+    (tmp_path / "req.csv").write_text("0,1,5\n0,7,10\n")
+    (tmp_path / "gap.csv").write_text("0,0\n1,0\n")
+    (tmp_path / "gap-req.csv").write_text("0,1,10\n")
+    (tmp_path / "fleet.csv").write_text("0,2,2\n")
+    (tmp_path / "vfa.csv").write_text("0,1,0,0.5\n")
+    (tmp_path / "big-fleet.csv").write_text("".join(f"{i},0,2\n" for i in range(10_001)))
+    (tmp_path / "wide-fleet.csv").write_text("0,0,7\n")
+    overrides, shown = REFUSED[case]
     manifest = str(write_manifest(tmp_path / "m.json", **overrides))
     for command in (["validate-config"], ["run", "--out", str(tmp_path / "run")]):
         assert main([*command, "--manifest", manifest]) == 2, command

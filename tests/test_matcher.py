@@ -117,6 +117,24 @@ def test_validation_rejects_unknown_request():
         solve_ilp(problem({0: [NULL, Candidate(frozenset({7}), 1.0)]}, [1]))
 
 
+@pytest.mark.parametrize(
+    "solve", [solve_ilp, brute_force_match, lambda p: async_greedy_match(p, 0)]
+)
+def test_every_matcher_refuses_a_malformed_problem_before_solving(solve):
+    # a vehicle lacking its null candidate is named before its stray request
+    with pytest.raises(InputError, match="vehicle 0 has no null candidate"):
+        solve(problem({0: [Candidate(frozenset({7}), 1.0)]}, [1]))
+    # vehicles are checked in ascending id order
+    stray = {0: [NULL, Candidate(frozenset({1, 7, 8}), 1.0)], 1: [Candidate(frozenset({1}), 1.0)]}
+    with pytest.raises(InputError, match=r"vehicle 0 references requests outside the batch: \[7, 8\]"):
+        solve(problem(stray, [1]))
+    # too large for the oracle, and malformed: the malformation is reported
+    huge = {v: [NULL] + [Candidate(frozenset({r}), 1.0) for r in range(24)] for v in range(6)}
+    huge[6] = [NULL, Candidate(frozenset({99}), 1.0)]
+    with pytest.raises(InputError, match="outside the batch"):
+        solve(problem(huge, range(24)))
+
+
 def random_problem(rng: random.Random, tie_heavy: bool) -> MatchProblem:
     n_vehicles = rng.randint(1, 5)
     n_requests = rng.randint(0, 6)

@@ -6,9 +6,10 @@ from dataclasses import replace
 import pytest
 
 import fairdispatch.sim as sim_module
+from fairdispatch import matcher
 from fairdispatch.demand import DemandProfile, Request, synth_requests
-from fairdispatch.errors import ConfigError
-from fairdispatch.fleet import VehicleState, feasible_actions
+from fairdispatch.errors import ConfigError, InstanceTooLargeError
+from fairdispatch.fleet import VehicleState, feasible_actions, random_fleet
 from fairdispatch.network import GroupId, grid_partition, make_grid
 from fairdispatch.scoring import ScoreWeights, ValueFunction
 from fairdispatch.sim import (
@@ -40,8 +41,6 @@ def small_world(seed=3, rate=0.8, horizon=1800.0):
         {GroupId(0, 1): rate, GroupId(1, 0): rate / 2}, horizon=horizon, seed=seed
     )
     requests = synth_requests(profile, net, part)
-    from fairdispatch.fleet import random_fleet
-
     fleet = random_fleet(3, 2, net, seed=seed + 7)
     return net, part, requests, fleet
 
@@ -125,6 +124,64 @@ def test_history_snapshot_used_within_window():
                     weights=ScoreWeights(beta=5.0))
     result = run_simulation(cfg, net, part, requests, fleet, record_trace=True)
     assert result.matchings[0][0] == (0,)
+
+
+def test_bundle_3_desk_run_keeps_the_oracle_and_conserves_requests(monkeypatch):
+    """Two hours of the 6x6 desk grid at bundle 3 and capacity 3 under the
+    exact matcher, with six vehicles for twice the desk demand so that
+    three-request bundles win."""
+    net = make_grid(6, 6, 80.0)
+    part = grid_partition(6, 6, 3, 3)
+    per_window = 2 * 5000.0 / 1440.0
+    profile = DemandProfile(
+        {GroupId(0, 3): 4 * per_window / 5, GroupId(2, 1): per_window / 5}, horizon=7200.0, seed=1
+    )
+    requests = synth_requests(profile, net, part)
+    fleet = random_fleet(6, 3, net, seed=1001)
+    cfg = SimConfig(
+        window_len=60.0, horizon=7200.0, max_bundle=3, seed=1,
+        weights=ScoreWeights(20.0, 20.0, passenger_plus=True, driver_plus=True),
+    )
+    problems, matchings = [], []
+    build, solve = sim_module.build_window_problem, sim_module.solve_ilp
+
+    def kept_build(*args):
+        out = build(*args)
+        problems.append(out[0])
+        return out
+
+    def kept_solve(problem):
+        out = solve(problem)
+        matchings.append(out)
+        return out
+
+    monkeypatch.setattr(sim_module, "build_window_problem", kept_build)
+    monkeypatch.setattr(sim_module, "solve_ilp", kept_solve)
+    result = run_simulation(cfg, net, part, requests, fleet, record_trace=True)
+
+    assert any(len(ids) == 3 for window in result.matchings for ids in window.values())
+    checked = 0
+    for p, m in zip(problems, matchings, strict=True):
+        for component in matcher._components(p, matcher._masks(p)):
+            sub = matcher.MatchProblem.build({v: p.candidates[v] for v in component}, p.batch_ids)
+            try:
+                oracle = matcher.brute_force_match(sub)
+            except InstanceTooLargeError:
+                continue
+            assert oracle.chosen == {v: m.chosen[v] for v in component}
+            checked += len(component) > 1
+    assert checked >= 10
+
+    seen: set[int] = set()
+    for k, window in enumerate(result.matchings):
+        served = [rid for ids in window.values() for rid in ids]
+        batch = {r.id for r in requests if k * 60.0 <= r.arrival < (k + 1) * 60.0}
+        assert set(served) <= batch and not seen & set(served)
+        assert len(served) == len(set(served))
+        seen |= set(served)
+    assert len(seen) == result.total_served > 0
+    assert sum(result.driver_history.incomes.values()) == pytest.approx(result.total_served)
+    assert result.passenger_history.totals() == (len(requests), result.total_served)
 
 
 def test_run_rejects_bad_inputs():
