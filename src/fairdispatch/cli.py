@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -39,14 +40,32 @@ VARIANTS = {
 }
 
 
-def _float_list(text: str) -> list[float]:
+def _weight_list(text: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("list must not be empty")
+    if not all(0 <= value < math.inf for value in values):
+        raise argparse.ArgumentTypeError(f"weights must be finite and nonnegative, got {text!r}")
     return values
+
+
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer of at least `low` and, given `high`, at most `high`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f"of at least {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {value}")
+        return value
+
+    return parse
 
 
 def _load(load, manifest: str, label: str = "error"):
@@ -300,15 +319,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid-sweep the fairness weights")
     add_common(p_sweep)
-    p_sweep.add_argument("--beta", type=_float_list, default=list(DEFAULT_SWEEP_GRID))
-    p_sweep.add_argument("--delta", type=_float_list, default=list(DEFAULT_SWEEP_GRID))
+    p_sweep.add_argument("--beta", type=_weight_list, default=list(DEFAULT_SWEEP_GRID))
+    p_sweep.add_argument("--delta", type=_weight_list, default=list(DEFAULT_SWEEP_GRID))
     p_sweep.add_argument("--variant", choices=sorted(VARIANTS), default="both")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    jobs_type = _int_in(1, os.cpu_count() or 1)
+    p_sweep.add_argument("--jobs", type=jobs_type, default=1, help="parallel runs, at most the CPU count")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_thm = sub.add_parser("theorem-check", help="check the max-min improvement guarantees")
     p_thm.add_argument("--which", choices=["passenger", "driver"], required=True)
-    p_thm.add_argument("--seeds", type=int, default=50)
+    p_thm.add_argument("--seeds", type=_int_in(1), default=50)
     add_common(p_thm, manifest=False)
     p_thm.set_defaults(handler=_cmd_theorem_check)
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf
@@ -45,7 +46,7 @@ from scipy import optimize  # linprog and milp are read through it, so patching 
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.sparse import csc_array
 
-from .errors import ContractError, InputError, InstanceTooLargeError
+from .errors import ContractError, InputError, InstanceTooLargeError, ParseError
 
 
 @dataclass(frozen=True)
@@ -612,16 +613,51 @@ def problem_to_json(p: MatchProblem) -> str:
     return json.dumps(doc, indent=2)
 
 
+# What a problem dump's fields must hold: (description, check).  An integer is
+# not a bool, and a score is finite as a float (JSON reads NaN and Infinity as
+# floats, and an integer beyond the float range as an int).
+_LIST = ("a list", lambda value: isinstance(value, list))
+_ID = ("an integer", lambda value: type(value) is int)
+_IDS = (
+    "a list of integers",
+    lambda value: isinstance(value, list) and all(type(r) is int for r in value),
+)
+_SCORE = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+
+
+def _dump_field(obj, field: str, expected: str, accept):
+    """Dotted `field` of a parsed problem dump (its last part is the key in `obj`)."""
+    key = field.rpartition(".")[2]
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing field '{field}'")
+    if not accept(obj[key]):
+        raise ValueError(f"field '{field}': expected {expected}, got {obj[key]!r}")
+    return obj[key]
+
+
 def problem_from_json(text: str | Path) -> MatchProblem:
-    """Inverse of problem_to_json; accepts a JSON string or a file path."""
-    if isinstance(text, Path):
-        text = text.read_text()
-    doc = json.loads(text)
-    candidates = {
-        int(entry["id"]): [
-            Candidate(frozenset(int(r) for r in action["requests"]), float(action["score"]))
-            for action in entry["actions"]
-        ]
-        for entry in doc["vehicles"]
-    }
-    return MatchProblem.build(candidates, (int(r) for r in doc["requests"]))
+    """Inverse of problem_to_json; accepts a JSON string or a file path.
+
+    A dump that is not JSON, lacks a field, holds a wrongly typed value or a
+    non-finite score, or repeats a vehicle id raises ParseError, which names
+    the file when given a path.
+    """
+    source = str(text) if isinstance(text, Path) else "problem dump"
+    try:
+        doc = json.loads(text.read_text() if isinstance(text, Path) else text)
+        candidates: dict[int, list[Candidate]] = {}
+        for i, entry in enumerate(_dump_field(doc, "vehicles", *_LIST)):
+            v = _dump_field(entry, f"vehicles[{i}].id", *_ID)
+            if v in candidates:
+                raise ValueError(f"duplicate vehicle id {v}")
+            candidates[v] = [
+                Candidate(
+                    frozenset(_dump_field(action, f"vehicles[{i}].actions[{k}].requests", *_IDS)),
+                    float(_dump_field(action, f"vehicles[{i}].actions[{k}].score", *_SCORE)),
+                )
+                for k, action in enumerate(_dump_field(entry, f"vehicles[{i}].actions", *_LIST))
+            ]
+        batch = _dump_field(doc, "requests", *_IDS)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+        raise ParseError(f"{source}: {exc}") from None
+    return MatchProblem.build(candidates, batch)

@@ -15,6 +15,7 @@ and every action's incentives are dictionary lookups into it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -38,8 +39,10 @@ class ScoreWeights:
     driver_plus: bool = False
 
     def __post_init__(self) -> None:
-        if self.beta < 0 or self.delta < 0:
-            raise InputError(f"weights must be nonnegative, got beta={self.beta} delta={self.delta}")
+        if not (0 <= self.beta < math.inf and 0 <= self.delta < math.inf):
+            raise InputError(
+                f"weights must be finite and nonnegative, got beta={self.beta} delta={self.delta}"
+            )
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,11 @@ end of their window are dropped.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 import time
+from collections import defaultdict
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -276,16 +279,14 @@ def _init_sweep_worker(*inputs) -> None:
     _worker_inputs = inputs
 
 
-def _sweep_point(inputs: tuple, point: tuple[float, float, bool, bool]) -> SweepRow:
+def _sweep_point(inputs: tuple, weights: ScoreWeights) -> SweepRow:
     cfg, net, partition, requests, fleet = inputs
-    beta, delta, pp, dp = point
-    point_cfg = replace(cfg, weights=ScoreWeights(beta, delta, pp, dp))
-    result = run_simulation(point_cfg, net, partition, requests, fleet)
-    return SweepRow(beta, delta, pp, dp, result)
+    result = run_simulation(replace(cfg, weights=weights), net, partition, requests, fleet)
+    return SweepRow(weights.beta, weights.delta, weights.passenger_plus, weights.driver_plus, result)
 
 
-def _worker_sweep_point(point: tuple[float, float, bool, bool]) -> SweepRow:
-    return _sweep_point(_worker_inputs, point)
+def _worker_sweep_point(weights: ScoreWeights) -> SweepRow:
+    return _sweep_point(_worker_inputs, weights)
 
 
 def sweep(
@@ -302,9 +303,12 @@ def sweep(
     """One full run per (beta, delta, variant) over a shared demand realisation."""
     if not betas or not deltas or not variants:
         raise ConfigError("sweep grids must be nonempty")
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:  # each job is a process with its own copy of the travel tables
+        raise ConfigError(f"jobs must lie in 1..{cpus}, got {jobs}")
     inputs = (cfg, net, partition, requests, fleet)
-    grid = [
-        (beta, delta, pp, dp)
+    grid = [  # every weight is checked before the first run
+        ScoreWeights(beta, delta, pp, dp)
         for beta in sorted(betas)
         for delta in sorted(deltas)
         for pp, dp in sorted(variants)
@@ -336,28 +340,22 @@ _THEOREM_EDGE_COST = 60.0
 
 
 @dataclass(frozen=True)
-class PassengerTheoremInstance:
+class TheoremInstance:
+    """A single-window instance and the passenger group or driver it is unfair to.
+
+    The side its check does not examine carries a neutral history: no
+    passenger demand yet, or every driver at zero income.
+    """
+
     seed: int
     net: StreetNetwork
     partition: AreaPartition
     requests: list[Request]
     fleet: list[VehicleState]
     passenger_history: PassengerHistory
-    pricing: dict[int, float]
-    expected_group: GroupId
-    config: SimConfig
-
-
-@dataclass(frozen=True)
-class DriverTheoremInstance:
-    seed: int
-    net: StreetNetwork
-    partition: AreaPartition
-    requests: list[Request]
-    fleet: list[VehicleState]
     driver_history: DriverHistory
     pricing: dict[int, float]
-    expected_driver: int
+    worst: GroupId | int
     config: SimConfig
 
 
@@ -376,47 +374,34 @@ class TheoremOutcome:
         return self.unfair_at_zero and self.improved
 
 
-def _single_window_config(seed: int, pricing: dict[int, float]) -> SimConfig:
-    return SimConfig(
-        window_len=60.0,
-        horizon=60.0,
-        max_wait=300.0,
-        max_detour=300.0,
-        max_bundle=1,
-        vfa=ValueFunction(kind="zero"),
-        weights=ScoreWeights(),
-        matcher="ilp",
-        seed=seed,
-        pricing=pricing,
-    )
+def _theorem_world(seed: int) -> tuple[random.Random, StreetNetwork, AreaPartition]:
+    net = make_grid(_THEOREM_GRID_ROWS, _THEOREM_GRID_COLS, _THEOREM_EDGE_COST)
+    partition = grid_partition(_THEOREM_GRID_ROWS, _THEOREM_GRID_COLS, _THEOREM_GRID_ROWS, 3)
+    return random.Random(seed), net, partition
 
 
-def build_passenger_min_unfair_instance(seed: int) -> PassengerTheoremInstance:
+def _in_reach(net: StreetNetwork, start: int, pickup: int) -> bool:
+    # Within the pickup deadline margin left after the batching window.
+    return net.travel_time(start, pickup) <= 300.0 - 60.0
+
+
+def build_passenger_min_unfair_instance(seed: int) -> TheoremInstance:
     """Single-window scenario whose zero-weight matching starves the worst group.
 
     One vehicle can feasibly serve either a request of the historically worst
     group or a slightly more valuable request of a well-served group; padding
     vehicles are placed out of reach of both pickups.
     """
-    rng = random.Random(seed)
-    net = make_grid(_THEOREM_GRID_ROWS, _THEOREM_GRID_COLS, _THEOREM_EDGE_COST)
-    partition = grid_partition(_THEOREM_GRID_ROWS, _THEOREM_GRID_COLS, _THEOREM_GRID_ROWS, 3)
+    rng, net, partition = _theorem_world(seed)
     groups = [GroupId(o, d) for o in range(2) for d in range(2)]
     bad_group, good_group = rng.sample(groups, 2)
-    slack = 300.0 - 60.0  # pickup deadline margin left after the batching window
 
     for _ in range(200):
         v1_loc = rng.choice(net.locations)
-        bad_pool = [
-            loc
-            for loc in partition.locations_in(bad_group.origin_area)
-            if net.travel_time(v1_loc, loc) <= slack
-        ]
-        good_pool = [
-            loc
-            for loc in partition.locations_in(good_group.origin_area)
-            if net.travel_time(v1_loc, loc) <= slack
-        ]
+        bad_pool, good_pool = (
+            [loc for loc in partition.locations_in(g.origin_area) if _in_reach(net, v1_loc, loc)]
+            for g in (bad_group, good_group)
+        )
         if not bad_pool or not good_pool:
             continue
         pickup_bad = rng.choice(bad_pool)
@@ -424,8 +409,7 @@ def build_passenger_min_unfair_instance(seed: int) -> PassengerTheoremInstance:
         padding_pool = [
             loc
             for loc in net.locations
-            if net.travel_time(loc, pickup_bad) > slack
-            and net.travel_time(loc, pickup_good) > slack
+            if not _in_reach(net, loc, pickup_bad) and not _in_reach(net, loc, pickup_good)
         ]
         if padding_pool:
             break
@@ -469,52 +453,37 @@ def build_passenger_min_unfair_instance(seed: int) -> PassengerTheoremInstance:
         history = PassengerHistory(requested, served)
 
     pricing = {1: rng.uniform(1.05, 1.5)}
-    return PassengerTheoremInstance(
+    return TheoremInstance(
         seed=seed,
         net=net,
         partition=partition,
         requests=sorted(requests, key=lambda r: (r.arrival, r.id)),
         fleet=fleet,
         passenger_history=history,
+        driver_history=DriverHistory.zeroed([v.id for v in fleet]),
         pricing=pricing,
-        expected_group=bad_group,
-        config=_single_window_config(seed, pricing),
+        worst=bad_group,
+        config=SimConfig(horizon=60.0, max_bundle=1, seed=seed, pricing=pricing),
     )
 
 
-def build_driver_min_unfair_instance(seed: int) -> DriverTheoremInstance:
+def build_driver_min_unfair_instance(seed: int) -> TheoremInstance:
     """Single-window scenario where a poor driver loses its best request.
 
     The below-average-income driver j can serve both requests, the rich
     driver k only the valuable one; the zero-weight optimum hands the
     valuable request to k and the cheap one to j.
     """
-    rng = random.Random(seed)
-    net = make_grid(_THEOREM_GRID_ROWS, _THEOREM_GRID_COLS, _THEOREM_EDGE_COST)
-    partition = grid_partition(_THEOREM_GRID_ROWS, _THEOREM_GRID_COLS, _THEOREM_GRID_ROWS, 3)
-    slack = 300.0 - 60.0
+    rng, net, partition = _theorem_world(seed)
 
     for _ in range(500):
         pickup_hi = rng.choice(net.locations)
         pickup_lo = rng.choice([loc for loc in net.locations if loc != pickup_hi])
-        j_pool = [
-            loc
-            for loc in net.locations
-            if net.travel_time(loc, pickup_hi) <= slack
-            and net.travel_time(loc, pickup_lo) <= slack
-        ]
-        k_pool = [
-            loc
-            for loc in net.locations
-            if net.travel_time(loc, pickup_hi) <= slack
-            and net.travel_time(loc, pickup_lo) > slack
-        ]
-        pad_pool = [
-            loc
-            for loc in net.locations
-            if net.travel_time(loc, pickup_hi) > slack
-            and net.travel_time(loc, pickup_lo) > slack
-        ]
+        # Locations by (reaches pickup_hi, reaches pickup_lo): j's, k's and the padding's.
+        pools: dict[tuple[bool, bool], list[int]] = defaultdict(list)
+        for loc in net.locations:
+            pools[_in_reach(net, loc, pickup_hi), _in_reach(net, loc, pickup_lo)].append(loc)
+        j_pool, k_pool, pad_pool = pools[True, True], pools[True, False], pools[False, False]
         if j_pool and k_pool:
             break
     else:
@@ -539,145 +508,135 @@ def build_driver_min_unfair_instance(seed: int) -> DriverTheoremInstance:
         fleet.append(VehicleState(vid, rng.choice(pad_pool), capacity=1))
         incomes[vid] = rng.uniform(2.0, 7.0)
 
-    return DriverTheoremInstance(
+    return TheoremInstance(
         seed=seed,
         net=net,
         partition=partition,
         requests=sorted(requests, key=lambda r: (r.arrival, r.id)),
         fleet=fleet,
+        passenger_history=PassengerHistory.empty(),
         driver_history=DriverHistory(incomes),
         pricing=pricing,
-        expected_driver=0,
-        config=_single_window_config(seed, pricing),
+        worst=0,
+        config=SimConfig(horizon=60.0, max_bundle=1, seed=seed, pricing=pricing),
     )
 
 
-def _one_window_matching(
-    inst: PassengerTheoremInstance | DriverTheoremInstance,
-    weights: ScoreWeights,
-    hist_p: PassengerHistory,
-    hist_d: DriverHistory,
-) -> tuple[MatchProblem, dict[int, list], Matching]:
+def _one_window_matching(inst: TheoremInstance, weights: ScoreWeights) -> tuple[MatchProblem, Matching]:
     vehicles = sorted((v.clone() for v in inst.fleet), key=lambda v: v.id)
-    problem, actions_by = build_window_problem(
+    problem, _ = build_window_problem(
         vehicles,
         inst.requests,
         inst.config.window_len,
         inst.net,
         replace(inst.config, weights=weights),
-        hist_p,
-        hist_d,
+        inst.passenger_history,
+        inst.driver_history,
         inst.partition,
     )
-    return problem, actions_by, solve_ilp(problem)
+    return problem, solve_ilp(problem)
+
+
+def _check_theorem(
+    inst: TheoremInstance,
+    ladder: tuple[float, ...],
+    weights_at: Callable[[float], ScoreWeights],
+    unfairness: Callable[[MatchProblem, Matching], str],
+    metric: Callable[[Matching], float],
+) -> TheoremOutcome:
+    """Solve at weight 0; if `unfairness` finds nothing amiss, sweep the ladder.
+
+    `unfairness` returns why the zero-weight matching is not min-unfair, or
+    "" when it is; `metric` is the worst-off side's value after a matching.
+    """
+    problem0, matching0 = _one_window_matching(inst, ScoreWeights())
+    dump = problem_to_json(problem0)
+    detail = unfairness(problem0, matching0)
+    if detail:
+        return TheoremOutcome(inst.seed, False, 0.0, {}, False, dump, detail)
+    baseline = metric(matching0)
+    ladder_metrics = {w: metric(_one_window_matching(inst, weights_at(w))[1]) for w in ladder}
+    improved = any(value > baseline for value in ladder_metrics.values())
+    return TheoremOutcome(inst.seed, True, baseline, ladder_metrics, improved, dump)
+
+
+def _feasible_ids(problem: MatchProblem, v: int) -> set[int]:
+    return {rid for c in problem.candidates[v] for rid in c.requests}
 
 
 def check_passenger_theorem(
-    inst: PassengerTheoremInstance,
+    inst: TheoremInstance,
     ladder: tuple[float, ...] = DEFAULT_WEIGHT_LADDER,
     plus: bool = False,
 ) -> TheoremOutcome:
     """Verify min-unfairness at weight 0, then look for a weight that helps."""
-    hist_d = DriverHistory.zeroed([v.id for v in inst.fleet])
-    problem0, _, matching0 = _one_window_matching(inst, ScoreWeights(), inst.passenger_history, hist_d)
-    dump = problem_to_json(problem0)
-
-    g_min = inst.expected_group
     hist = inst.passenger_history
-    rates = {g: hist.service_rate(g) for g in hist.observed_groups()}
-    if min(rates, key=lambda g: (rates[g], g)) != g_min:
-        return TheoremOutcome(inst.seed, False, 0.0, {}, False, dump, "expected group is not the minimum")
+    worst_requests = {r.id for r in inst.requests if r.group == inst.worst}
 
-    worst_requests = {r.id for r in inst.requests if r.group == g_min}
-    served0 = matching0.served_request_ids()
-    unserved_worst = worst_requests - served0
-    witness = False
-    for v in inst.fleet:
-        feasible_ids = {
-            rid for c in problem0.candidates[v.id] for rid in c.requests
-        }
-        assigned = matching0.assigned[v.id]
-        if (
-            unserved_worst & feasible_ids
-            and assigned
-            and not assigned & worst_requests
+    def unfairness(problem0: MatchProblem, matching0: Matching) -> str:
+        rates = {g: hist.service_rate(g) for g in hist.observed_groups()}
+        if min(rates, key=lambda g: (rates[g], g)) != inst.worst:
+            return "expected group is not the minimum"
+        unserved_worst = worst_requests - matching0.served_request_ids()
+        # Some vehicle that could serve an unserved worst-group request serves another group.
+        if not any(
+            unserved_worst & _feasible_ids(problem0, v.id)
+            and matching0.assigned[v.id]
+            and not matching0.assigned[v.id] & worst_requests
+            for v in inst.fleet
         ):
-            witness = True
-            break
-    if not (unserved_worst and witness):
-        return TheoremOutcome(
-            inst.seed, False, 0.0, {}, False, dump, "zero-weight matching is not passenger-min-unfair"
-        )
+            return "zero-weight matching is not passenger-min-unfair"
+        return ""
 
-    after0 = update_passenger_history(hist, inst.requests, matching0)
-    baseline = after0.service_rate(g_min)
-    ladder_metrics: dict[float, float] = {}
-    for beta in ladder:
-        weights = ScoreWeights(beta=beta, passenger_plus=plus)
-        _, _, matching = _one_window_matching(inst, weights, hist, hist_d)
-        after = update_passenger_history(hist, inst.requests, matching)
-        ladder_metrics[beta] = after.service_rate(g_min)
-    improved = any(value > baseline for value in ladder_metrics.values())
-    return TheoremOutcome(inst.seed, True, baseline, ladder_metrics, improved, dump)
+    def service_rate(matching: Matching) -> float:
+        return update_passenger_history(hist, inst.requests, matching).service_rate(inst.worst)
+
+    return _check_theorem(
+        inst, ladder, lambda beta: ScoreWeights(beta=beta, passenger_plus=plus), unfairness, service_rate
+    )
 
 
 def check_driver_theorem(
-    inst: DriverTheoremInstance,
+    inst: TheoremInstance,
     ladder: tuple[float, ...] = DEFAULT_WEIGHT_LADDER,
     plus: bool = True,
 ) -> TheoremOutcome:
     """Verify driver-min-unfairness at weight 0, then sweep the ladder."""
-    hist_p = PassengerHistory.empty()
-    hist_d = inst.driver_history
-    problem0, actions_by, matching0 = _one_window_matching(inst, ScoreWeights(), hist_p, hist_d)
-    dump = problem_to_json(problem0)
-
-    j = inst.expected_driver
-    mean = hist_d.mean_scaled()
-    if not hist_d.scaled_income(j) < mean:
-        return TheoremOutcome(inst.seed, False, 0.0, {}, False, dump, "expected driver is not below average")
+    hist = inst.driver_history
+    j = inst.worst
+    mean = hist.mean_scaled()
 
     def reward_of(rid: int) -> float:
         return inst.pricing.get(rid, 1.0)
 
-    feasible_ids = {
-        v.id: {rid for c in problem0.candidates[v.id] for rid in c.requests}
-        for v in inst.fleet
-    }
-    j_feasible = sorted(feasible_ids[j])
-    if not j_feasible:
-        return TheoremOutcome(inst.seed, False, 0.0, {}, False, dump, "driver j has no feasible request")
-    best_reward = max(reward_of(rid) for rid in j_feasible)
-    top = [rid for rid in j_feasible if reward_of(rid) == best_reward]
-    if len(top) != 1:
-        return TheoremOutcome(inst.seed, False, 0.0, {}, False, dump, "driver j's preferred request is ambiguous")
-    r_star = top[0]
+    def unfairness(problem0: MatchProblem, matching0: Matching) -> str:
+        if not hist.scaled_income(j) < mean:
+            return "expected driver is not below average"
+        j_feasible = sorted(_feasible_ids(problem0, j))
+        if not j_feasible:
+            return "driver j has no feasible request"
+        best_reward = max(reward_of(rid) for rid in j_feasible)
+        top = [rid for rid in j_feasible if reward_of(rid) == best_reward]
+        if len(top) != 1:
+            return "driver j's preferred request is ambiguous"
+        r_star = top[0]
+        assigned_j = matching0.assigned[j]
+        if not assigned_j or assigned_j == frozenset((r_star,)):
+            return "zero-weight matching is not driver-min-unfair"
+        if any(
+            v.id != j and hist.scaled_income(v.id) < mean and r_star in _feasible_ids(problem0, v.id)
+            for v in inst.fleet
+        ):
+            return "another worse-off driver can serve the preferred request"
+        return ""
 
-    assigned_j = matching0.assigned[j]
-    if not assigned_j or assigned_j == frozenset((r_star,)):
-        return TheoremOutcome(
-            inst.seed, False, 0.0, {}, False, dump, "zero-weight matching is not driver-min-unfair"
-        )
-    for v in inst.fleet:
-        if v.id == j:
-            continue
-        if hist_d.scaled_income(v.id) < mean and r_star in feasible_ids[v.id]:
-            return TheoremOutcome(
-                inst.seed, False, 0.0, {}, False, dump, "another worse-off driver can serve the preferred request"
-            )
-
-    def updated_scaled(matching: Matching) -> float:
+    def scaled_income(matching: Matching) -> float:
         rewards = {
             v.id: sum(reward_of(rid) for rid in sorted(matching.assigned[v.id]))
             for v in inst.fleet
         }
-        return update_driver_history(hist_d, rewards).scaled_income(j)
+        return update_driver_history(hist, rewards).scaled_income(j)
 
-    baseline = updated_scaled(matching0)
-    ladder_metrics: dict[float, float] = {}
-    for delta in ladder:
-        weights = ScoreWeights(delta=delta, driver_plus=plus)
-        _, _, matching = _one_window_matching(inst, weights, hist_p, hist_d)
-        ladder_metrics[delta] = updated_scaled(matching)
-    improved = any(value > baseline for value in ladder_metrics.values())
-    return TheoremOutcome(inst.seed, True, baseline, ladder_metrics, improved, dump)
+    return _check_theorem(
+        inst, ladder, lambda delta: ScoreWeights(delta=delta, driver_plus=plus), unfairness, scaled_income
+    )

@@ -419,6 +419,42 @@ def test_sweep_jobs_do_not_change_output(tmp_path):
     assert (o1 / "sweep.csv").read_bytes() == (o2 / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--beta", "nan"],
+        ["--beta", "0,inf"],
+        ["--delta", "-1"],
+        ["--delta", "1,NaN"],
+        ["--jobs", "0"],
+        ["--jobs", "3"],  # above the CPU count of 2 patched in below
+    ],
+)
+def test_sweep_refuses_bad_flags_before_any_run(tmp_path, monkeypatch, flags):
+    import fairdispatch.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    manifest = write_manifest(tmp_path / "m.json")
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--manifest", str(manifest), "--out", str(out), *flags])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_theorem_check_refuses_seed_counts_below_one(tmp_path, seeds):
+    out = tmp_path / "thm"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["theorem-check", "--which", "driver", "--seeds", seeds, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("which", ["passenger", "driver"])
 def test_theorem_check_command(tmp_path, which):
     out = tmp_path / "thm"

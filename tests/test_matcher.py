@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairdispatch import matcher
-from fairdispatch.errors import InputError, InstanceTooLargeError
+from fairdispatch.errors import InputError, InstanceTooLargeError, ParseError
 from fairdispatch.matcher import (
     Candidate,
     MatchProblem,
@@ -339,6 +340,50 @@ def test_problem_json_roundtrip():
     q = problem_from_json(doc)
     assert q == p
     assert solve_ilp(q).total_score == solve_ilp(p).total_score
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "Expecting property name"),
+        ("[]", "missing field 'vehicles'"),
+        ('{"vehicles": []}', "missing field 'requests'"),
+        ('{"vehicles": [{"id": 1}], "requests": []}', r"missing field 'vehicles\[0\]\.actions'"),
+        ('{"vehicles": {}, "requests": []}', "field 'vehicles': expected a list"),
+        ('{"vehicles": [{"id": "1", "actions": []}], "requests": []}', "expected an integer, got '1'"),
+        ('{"vehicles": [{"id": true, "actions": []}], "requests": []}', "expected an integer, got True"),
+        ('{"vehicles": [], "requests": [1.5]}', "field 'requests': expected a list of integers"),
+        (
+            '{"vehicles": [{"id": 1, "actions": [{"requests": "12", "score": 0}]}], "requests": []}',
+            r"actions\[0\]\.requests': expected a list of integers",
+        ),
+        (
+            '{"vehicles": [{"id": 1, "actions": [{"requests": [], "score": NaN}]}], "requests": []}',
+            r"actions\[0\]\.score': expected a finite number, got nan",
+        ),
+        (
+            '{"vehicles": [{"id": 1, "actions": [{"requests": [], "score": 1e999}]}], "requests": []}',
+            "expected a finite number, got inf",
+        ),
+        (
+            '{"vehicles": [{"id": 1, "actions": []}, {"id": 1, "actions": []}], "requests": []}',
+            "duplicate vehicle id 1",
+        ),
+    ],
+)
+def test_problem_from_json_refuses_a_malformed_dump(text, message):
+    with pytest.raises(ParseError, match=message):
+        problem_from_json(text)
+
+
+def test_problem_from_json_names_the_file(tmp_path):
+    path = tmp_path / "window.json"
+    path.write_text('{"vehicles": [], "requests": [-1e999]}')
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: field 'requests'"):
+        problem_from_json(path)
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+        problem_from_json(path)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

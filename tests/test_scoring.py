@@ -376,8 +376,10 @@ def test_snapshot_all_zero_incomes():
 
 
 def test_weights_validation():
-    with pytest.raises(InputError):
-        ScoreWeights(beta=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        for weights in ({"beta": bad}, {"delta": bad}):
+            with pytest.raises(InputError, match="finite and nonnegative"):
+                ScoreWeights(**weights)
 
 
 def test_load_value_table_and_pricing(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 import fairdispatch.sim as sim_module
 from fairdispatch import matcher
 from fairdispatch.demand import DemandProfile, Request, synth_requests
-from fairdispatch.errors import ConfigError, InstanceTooLargeError
+from fairdispatch.errors import ConfigError, InputError, InstanceTooLargeError
 from fairdispatch.fleet import VehicleState, feasible_actions, random_fleet
 from fairdispatch.network import GroupId, grid_partition, make_grid
 from fairdispatch.scoring import ScoreWeights, ValueFunction
@@ -272,6 +272,28 @@ def test_sweep_tasks_carry_only_weights(monkeypatch):
         assert len(pickle.dumps(task)) < 1024
 
 
+@pytest.mark.parametrize("jobs", [0, -1, 5])
+def test_sweep_refuses_jobs_outside_the_cpu_count(monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(sim_module.os, "cpu_count", lambda: 4)
+    net, part, requests, fleet = small_world()
+    with pytest.raises(ConfigError, match=r"jobs must lie in 1\.\.4"):
+        sweep(small_cfg(), net, part, requests, fleet, [0.0], [0.0], [(False, False)], jobs=jobs)
+
+
+def test_sweep_refuses_a_bad_weight_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(sim_module, "run_simulation", no_run)
+    net, part, requests, fleet = small_world()
+    with pytest.raises(InputError, match="finite and nonnegative"):
+        sweep(small_cfg(), net, part, requests, fleet, [0.0, float("nan")], [0.0], [(False, False)])
+
+
 def test_sweep_rejects_empty_grid():
     net, part, requests, fleet = small_world()
     with pytest.raises(ConfigError):
@@ -288,9 +310,9 @@ def test_passenger_instance_structure():
         assert len(inst.requests) >= 2
         hist = inst.passenger_history
         rates = {g: hist.service_rate(g) for g in hist.observed_groups()}
-        assert min(rates, key=lambda g: (rates[g], g)) == inst.expected_group
+        assert min(rates, key=lambda g: (rates[g], g)) == inst.worst
         # the worst group's request is feasible for some vehicle
-        worst = [r for r in inst.requests if r.group == inst.expected_group]
+        worst = [r for r in inst.requests if r.group == inst.worst]
         assert len(worst) == 1
         feasible_anywhere = False
         for v in inst.fleet:
@@ -314,7 +336,7 @@ def test_driver_instance_structure():
     for seed in range(10):
         inst = build_driver_min_unfair_instance(seed)
         hist = inst.driver_history
-        j = inst.expected_driver
+        j = inst.worst
         assert hist.scaled_income(j) < hist.mean_scaled()
         # exactly one worse-off driver can feasibly serve the preferred request
         r_star = max(inst.requests, key=lambda r: inst.pricing.get(r.id, 1.0))
