@@ -1,12 +1,19 @@
-"""The record reader behind every comma-separated input file."""
+"""The finite-number rules of every input reader: CSV records and JSON values."""
 
 from __future__ import annotations
 
+import sys
 from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterator
 
 from .errors import ParseError
+
+
+def is_finite_number(value) -> bool:
+    # Not a bool, and finite as a float: JSON reads NaN and Infinity as floats,
+    # and an integer literal beyond the float range as an int.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def read_records(

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success; 2 invalid manifest or flags; 3 runtime failure;
+Exit codes: 0 success; 2 invalid manifest or flags; 3 runtime failure (`run`
+also writes the window the matcher failed on to failed_window_<k>.json);
 4 output files already present without --force; 5 theorem-check failure.
 Every output file is written to a temp name and atomically renamed.
 """
@@ -16,8 +17,9 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, ContractError, FairDispatchError, InputError, ParseError
+from .errors import ConfigError, ContractError, FairDispatchError, InputError, ParseError, WindowSolveError
 from .manifest import horizon_from, load_scenario, network_from, read_manifest, requests_from
+from .matcher import problem_to_json
 from .metrics import METRICS_COLUMNS, write_metrics_csv
 from .sim import (
     DEFAULT_WEIGHT_LADDER,
@@ -52,17 +54,16 @@ def _weight_list(text: str) -> list[float]:
     return values
 
 
-def _int_in(low: int, high: int | None = None):
-    """An argparse type: an integer of at least `low` and, given `high`, at most `high`."""
+def _int_in(low: int, high: int):
+    """An argparse type: an integer in `low`..`high`."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low or (high is not None and value > high):
-            bound = f"of at least {low}" if high is None else f"in {low}..{high}"
-            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {value}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected an integer in {low}..{high}, got {value}")
         return value
 
     return parse
@@ -116,6 +117,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             scenario.config, scenario.net, scenario.partition, scenario.requests, scenario.fleet
         )
     except FairDispatchError as exc:
+        if isinstance(exc, WindowSolveError):  # a replayable dump of the failed window
+            _atomic_write(out / f"failed_window_{exc.window}.json", problem_to_json(exc.problem) + "\n")
         print(f"error: simulation failed: {exc}", file=sys.stderr)
         return 3
     tmp = out / "metrics.csv.tmp"
@@ -328,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_thm = sub.add_parser("theorem-check", help="check the max-min improvement guarantees")
     p_thm.add_argument("--which", choices=["passenger", "driver"], required=True)
-    p_thm.add_argument("--seeds", type=_int_in(1), default=50)
+    # At about 2 ms a seed the ceiling is some 3 minutes; the report is written only at the end.
+    p_thm.add_argument("--seeds", type=_int_in(1, 100_000), default=50)
     add_common(p_thm, manifest=False)
     p_thm.set_defaults(handler=_cmd_theorem_check)
 

@@ -21,5 +21,17 @@ class ContractError(FairDispatchError, RuntimeError):
     """An internal invariant was violated at runtime (caller or solver bug)."""
 
 
+class WindowSolveError(ContractError):
+    """The matcher failed on window `window`; `problem` is that window's MatchProblem."""
+
+    def __init__(self, message: str, window: int, problem) -> None:
+        super().__init__(message)
+        self.window = window
+        self.problem = problem
+
+    def __reduce__(self):  # a parallel sweep's worker pickles it
+        return type(self), (str(self), self.window, self.problem)
+
+
 class InstanceTooLargeError(FairDispatchError, ValueError):
     """A brute-force routine refused an instance above its enumeration budget."""

@@ -13,10 +13,10 @@ values go to, not here.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._records import is_finite_number
 from .demand import DemandProfile, Request, load_requests, synth_requests
 from .errors import ConfigError
 from .fleet import VehicleState, load_fleet, random_fleet
@@ -72,18 +72,12 @@ def _read(spec: dict, field: str, default, expected: str, accept):
     return value
 
 
-def _is_number(value) -> bool:
-    # Not a bool, and finite as a float: JSON reads NaN and Infinity as floats,
-    # and an integer literal beyond the float range as an int.
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _number(spec: dict, field: str, default: float | None = None) -> float:
-    return float(_read(spec, field, default, "a finite number", _is_number))
+    return float(_read(spec, field, default, "a finite number", is_finite_number))
 
 
 def _is_integer(value) -> bool:
-    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+    return is_finite_number(value) and (isinstance(value, int) or value.is_integer())
 
 
 def _integer(spec: dict, field: str, default: int | None = None) -> int:

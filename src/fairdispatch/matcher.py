@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf
@@ -46,6 +45,7 @@ from scipy import optimize  # linprog and milp are read through it, so patching 
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.sparse import csc_array
 
+from ._records import is_finite_number
 from .errors import ContractError, InputError, InstanceTooLargeError, ParseError
 
 
@@ -614,15 +614,14 @@ def problem_to_json(p: MatchProblem) -> str:
 
 
 # What a problem dump's fields must hold: (description, check).  An integer is
-# not a bool, and a score is finite as a float (JSON reads NaN and Infinity as
-# floats, and an integer beyond the float range as an int).
+# not a bool.
 _LIST = ("a list", lambda value: isinstance(value, list))
 _ID = ("an integer", lambda value: type(value) is int)
 _IDS = (
     "a list of integers",
     lambda value: isinstance(value, list) and all(type(r) is int for r in value),
 )
-_SCORE = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_SCORE = ("a finite number", is_finite_number)
 
 
 def _dump_field(obj, field: str, expected: str, accept):

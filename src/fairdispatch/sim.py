@@ -1,10 +1,12 @@
 """Discrete-time dispatch loop, weight sweeps, and theorem micro-instances.
 
-Each window batches the requests that arrived during it, enumerates feasible
-actions per vehicle, scores them against one fairness snapshot frozen at
-window start, solves the assignment, updates both fairness histories once, and
-advances every vehicle by the window length.  Requests left unmatched at the
-end of their window are dropped.
+`step_window` does one window's work: it enumerates feasible actions per
+vehicle for the requests that arrived during the window, scores them against
+one fairness snapshot frozen at window start, solves the assignment, advances
+every vehicle by the window length, and updates both fairness histories once.
+Requests left unmatched at the end of their window are dropped.
+`run_simulation` batches the requests and steps every window in turn; the
+theorem harnesses step a single window 0 and read the histories it returns.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .demand import Request
-from .errors import ConfigError, ContractError, InputError
+from .errors import ConfigError, ContractError, InputError, WindowSolveError
 from .fleet import RideConstraints, VehicleState, advance, feasible_actions
 from .matcher import (
     Candidate,
@@ -177,6 +179,39 @@ def _solve(problem: MatchProblem, cfg: SimConfig, window_index: int) -> Matching
     return async_greedy_match(problem, cfg.seed + window_index)
 
 
+def step_window(
+    vehicles: list[VehicleState],
+    hist_p: PassengerHistory,
+    hist_d: DriverHistory,
+    batch: list[Request],
+    k: int,
+    net: StreetNetwork,
+    cfg: SimConfig,
+    partition: AreaPartition | None,
+) -> tuple[MatchProblem, Matching, PassengerHistory, DriverHistory]:
+    """Window `k`, ending at `(k + 1) * window_len`, over the requests that arrived in it.
+
+    Builds and solves the window's problem, advances every vehicle in place and
+    updates both histories; returns the problem, the matching and the histories.
+    A matcher's ContractError is raised again as a WindowSolveError.
+    """
+    problem, actions_by = build_window_problem(
+        vehicles, batch, (k + 1) * cfg.window_len, net, cfg, hist_p, hist_d, partition
+    )
+    try:
+        matching = _solve(problem, cfg, k)
+    except ContractError as exc:
+        raise WindowSolveError(str(exc), k, problem) from exc
+    # The histories never read vehicle state, so vehicles move first.
+    rewards: dict[int, float] = {}
+    for v in vehicles:
+        chosen = actions_by[v.id][matching.chosen[v.id]]
+        rewards[v.id] = immediate_reward(chosen, cfg.pricing)
+        advance(v, chosen, cfg.window_len, net)
+    hist_p = update_passenger_history(hist_p, batch, matching)
+    return problem, matching, hist_p, update_driver_history(hist_d, rewards)
+
+
 def run_simulation(
     cfg: SimConfig,
     net: StreetNetwork,
@@ -198,32 +233,14 @@ def run_simulation(
 
     rows: list[WindowMetrics] = []
     trace: list[dict[int, tuple[int, ...]]] | None = [] if record_trace else None
-    total_served = 0
     pointer = 0
 
     for k in range(cfg.n_windows):
-        now = (k + 1) * cfg.window_len
         upper = pointer
-        while upper < len(requests) and requests[upper].arrival < now:
+        while upper < len(requests) and requests[upper].arrival < (k + 1) * cfg.window_len:
             upper += 1
-        window_batch = requests[pointer:upper]
-        pointer = upper
-
-        problem, actions_by = build_window_problem(
-            vehicles, window_batch, now, net, cfg, hist_p, hist_d, partition
-        )
-        matching = _solve(problem, cfg, k)
-
-        # The histories never read vehicle state, so vehicles move first.
-        rewards: dict[int, float] = {}
-        for v in vehicles:
-            chosen = actions_by[v.id][matching.chosen[v.id]]
-            rewards[v.id] = immediate_reward(chosen, cfg.pricing)
-            advance(v, chosen, cfg.window_len, net)
-        hist_p = update_passenger_history(hist_p, window_batch, matching)
-        hist_d = update_driver_history(hist_d, rewards)
-        total_served += len(matching.served_request_ids())
-
+        batch, pointer = requests[pointer:upper], upper
+        _, matching, hist_p, hist_d = step_window(vehicles, hist_p, hist_d, batch, k, net, cfg, partition)
         if trace is not None:
             trace.append({v: tuple(sorted(ids)) for v, ids in matching.assigned.items()})
 
@@ -242,9 +259,7 @@ def run_simulation(
             )
         )
 
-    total_requests = len(requests)
-    if total_served > total_requests:
-        raise ContractError("served more requests than arrived")
+    total_requests, total_served = hist_p.totals()
     # SimConfig guarantees at least one window, so the last window's reports are set.
     return RunResult(
         total_requests=total_requests,
@@ -344,17 +359,16 @@ class TheoremInstance:
     """A single-window instance and the passenger group or driver it is unfair to.
 
     The side its check does not examine carries a neutral history: no
-    passenger demand yet, or every driver at zero income.
+    passenger demand yet, or every driver at zero income.  The seed and the
+    request pricing are those of `config`.
     """
 
-    seed: int
     net: StreetNetwork
     partition: AreaPartition
     requests: list[Request]
     fleet: list[VehicleState]
     passenger_history: PassengerHistory
     driver_history: DriverHistory
-    pricing: dict[int, float]
     worst: GroupId | int
     config: SimConfig
 
@@ -452,18 +466,15 @@ def build_passenger_min_unfair_instance(seed: int) -> TheoremInstance:
         served[bad_group] = 0
         history = PassengerHistory(requested, served)
 
-    pricing = {1: rng.uniform(1.05, 1.5)}
     return TheoremInstance(
-        seed=seed,
         net=net,
         partition=partition,
         requests=sorted(requests, key=lambda r: (r.arrival, r.id)),
         fleet=fleet,
         passenger_history=history,
         driver_history=DriverHistory.zeroed([v.id for v in fleet]),
-        pricing=pricing,
         worst=bad_group,
-        config=SimConfig(horizon=60.0, max_bundle=1, seed=seed, pricing=pricing),
+        config=SimConfig(horizon=60.0, max_bundle=1, seed=seed, pricing={1: rng.uniform(1.05, 1.5)}),
     )
 
 
@@ -509,32 +520,15 @@ def build_driver_min_unfair_instance(seed: int) -> TheoremInstance:
         incomes[vid] = rng.uniform(2.0, 7.0)
 
     return TheoremInstance(
-        seed=seed,
         net=net,
         partition=partition,
         requests=sorted(requests, key=lambda r: (r.arrival, r.id)),
         fleet=fleet,
         passenger_history=PassengerHistory.empty(),
         driver_history=DriverHistory(incomes),
-        pricing=pricing,
         worst=0,
         config=SimConfig(horizon=60.0, max_bundle=1, seed=seed, pricing=pricing),
     )
-
-
-def _one_window_matching(inst: TheoremInstance, weights: ScoreWeights) -> tuple[MatchProblem, Matching]:
-    vehicles = sorted((v.clone() for v in inst.fleet), key=lambda v: v.id)
-    problem, _ = build_window_problem(
-        vehicles,
-        inst.requests,
-        inst.config.window_len,
-        inst.net,
-        replace(inst.config, weights=weights),
-        inst.passenger_history,
-        inst.driver_history,
-        inst.partition,
-    )
-    return problem, solve_ilp(problem)
 
 
 def _check_theorem(
@@ -542,22 +536,29 @@ def _check_theorem(
     ladder: tuple[float, ...],
     weights_at: Callable[[float], ScoreWeights],
     unfairness: Callable[[MatchProblem, Matching], str],
-    metric: Callable[[Matching], float],
+    metric: Callable[[PassengerHistory, DriverHistory], float],
 ) -> TheoremOutcome:
-    """Solve at weight 0; if `unfairness` finds nothing amiss, sweep the ladder.
+    """Step window 0 at weight 0; if `unfairness` finds nothing amiss, sweep the ladder.
 
     `unfairness` returns why the zero-weight matching is not min-unfair, or
-    "" when it is; `metric` is the worst-off side's value after a matching.
+    "" when it is; `metric` reads the worst-off side's value off the histories.
     """
-    problem0, matching0 = _one_window_matching(inst, ScoreWeights())
+
+    def window(weights: ScoreWeights) -> tuple[MatchProblem, Matching, PassengerHistory, DriverHistory]:
+        vehicles = sorted((v.clone() for v in inst.fleet), key=lambda v: v.id)
+        hist_p, hist_d = inst.passenger_history, inst.driver_history
+        cfg = replace(inst.config, weights=weights)
+        return step_window(vehicles, hist_p, hist_d, inst.requests, 0, inst.net, cfg, inst.partition)
+
+    problem0, matching0, *histories0 = window(ScoreWeights())
     dump = problem_to_json(problem0)
     detail = unfairness(problem0, matching0)
     if detail:
-        return TheoremOutcome(inst.seed, False, 0.0, {}, False, dump, detail)
-    baseline = metric(matching0)
-    ladder_metrics = {w: metric(_one_window_matching(inst, weights_at(w))[1]) for w in ladder}
+        return TheoremOutcome(inst.config.seed, False, 0.0, {}, False, dump, detail)
+    baseline = metric(*histories0)
+    ladder_metrics = {w: metric(*window(weights_at(w))[2:]) for w in ladder}
     improved = any(value > baseline for value in ladder_metrics.values())
-    return TheoremOutcome(inst.seed, True, baseline, ladder_metrics, improved, dump)
+    return TheoremOutcome(inst.config.seed, True, baseline, ladder_metrics, improved, dump)
 
 
 def _feasible_ids(problem: MatchProblem, v: int) -> set[int]:
@@ -588,8 +589,8 @@ def check_passenger_theorem(
             return "zero-weight matching is not passenger-min-unfair"
         return ""
 
-    def service_rate(matching: Matching) -> float:
-        return update_passenger_history(hist, inst.requests, matching).service_rate(inst.worst)
+    def service_rate(hist_p: PassengerHistory, _) -> float:
+        return hist_p.service_rate(inst.worst)
 
     return _check_theorem(
         inst, ladder, lambda beta: ScoreWeights(beta=beta, passenger_plus=plus), unfairness, service_rate
@@ -607,7 +608,7 @@ def check_driver_theorem(
     mean = hist.mean_scaled()
 
     def reward_of(rid: int) -> float:
-        return inst.pricing.get(rid, 1.0)
+        return inst.config.pricing.get(rid, 1.0)
 
     def unfairness(problem0: MatchProblem, matching0: Matching) -> str:
         if not hist.scaled_income(j) < mean:
@@ -630,12 +631,8 @@ def check_driver_theorem(
             return "another worse-off driver can serve the preferred request"
         return ""
 
-    def scaled_income(matching: Matching) -> float:
-        rewards = {
-            v.id: sum(reward_of(rid) for rid in sorted(matching.assigned[v.id]))
-            for v in inst.fleet
-        }
-        return update_driver_history(hist, rewards).scaled_income(j)
+    def scaled_income(_, hist_d: DriverHistory) -> float:
+        return hist_d.scaled_income(j)
 
     return _check_theorem(
         inst, ladder, lambda delta: ScoreWeights(delta=delta, driver_plus=plus), unfairness, scaled_income

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,9 +12,10 @@ import fairdispatch.manifest
 import fairdispatch.network
 from fairdispatch.cli import main
 from fairdispatch.demand import load_requests
-from fairdispatch.errors import ConfigError, ParseError
+from fairdispatch.errors import ConfigError, ContractError, ParseError
 from fairdispatch.fleet import load_fleet
 from fairdispatch.manifest import load_scenario
+from fairdispatch.matcher import problem_from_json, solve_ilp
 from fairdispatch.network import grid_partition, load_network, load_partition, make_grid
 from fairdispatch.scoring import load_pricing, load_value_table
 
@@ -363,8 +365,16 @@ def test_run_exits_3_when_highs_fails(tmp_path, monkeypatch, capsys):
         requests={"profile": {"rates": [[0, 3, 2.7777777777777777], [2, 1, 0.6944444444444444]], "seed": 32003}},
         fleet={"random": {"size": 20, "capacity": 2, "seed": 33003}},
     )
-    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
-    assert "HiGHS found no optimum for the component of vehicles" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "HiGHS found no optimum for the component of vehicles" in err
+    # The failed window is dumped once, and the dump replays to the same error.
+    dumps = list(out.glob("failed_window_*.json"))
+    assert [dump.name for dump in dumps] == ["failed_window_3.json"]
+    with pytest.raises(ContractError) as replay:
+        solve_ilp(problem_from_json(dumps[0]))
+    assert err == f"error: simulation failed: {replay.value}\n"
 
 
 def test_sweep_degenerate_matches_run(tmp_path):
@@ -446,13 +456,21 @@ def test_sweep_refuses_bad_flags_before_any_run(tmp_path, monkeypatch, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seeds", ["0", "-3"])
+@pytest.mark.parametrize("seeds", ["0", "-3", "100001"])
 def test_theorem_check_refuses_seed_counts_below_one(tmp_path, seeds):
     out = tmp_path / "thm"
     with pytest.raises(SystemExit) as exit_info:
         main(["theorem-check", "--which", "driver", "--seeds", seeds, "--out", str(out)])
     assert exit_info.value.code == 2
     assert not out.exists()
+
+
+# sha256 of theorem_report.csv at --seeds 50, recorded before the theorem
+# harness moved onto the simulation's own window step.
+THEOREM_REPORT_SHA256 = {
+    "passenger": "00d7752ac39a8ff9470780210986ce9a8de9880ae7e8a5a421abd088fa3d32e9",
+    "driver": "3be4613acbfb641ef7e89efeed86237b05b13c30aded69f6d7aa4a7e7ec5d6cd",
+}
 
 
 @pytest.mark.parametrize("which", ["passenger", "driver"])
@@ -463,6 +481,10 @@ def test_theorem_check_command(tmp_path, which):
     report = (out / "theorem_report.csv").read_text().splitlines()
     assert len(report) == 4  # header + 3 seeds
     assert not list(out.glob("theorem_fail_seed*.json"))
+    code = main(["theorem-check", "--which", which, "--seeds", "50", "--out", str(out), "--force"])
+    assert code == 0
+    digest = hashlib.sha256((out / "theorem_report.csv").read_bytes()).hexdigest()
+    assert digest == THEOREM_REPORT_SHA256[which]
 
 
 def test_theorem_check_failure_dumps_instance(tmp_path, monkeypatch):
@@ -470,7 +492,7 @@ def test_theorem_check_failure_dumps_instance(tmp_path, monkeypatch):
     from fairdispatch.sim import TheoremOutcome
 
     def always_fail(inst, ladder):
-        return TheoremOutcome(inst.seed, True, 0.5, {1.0: 0.5}, False, '{"vehicles": []}')
+        return TheoremOutcome(inst.config.seed, True, 0.5, {1.0: 0.5}, False, '{"vehicles": []}')
 
     monkeypatch.setattr(cli, "check_passenger_theorem", always_fail)
     out = tmp_path / "thm"

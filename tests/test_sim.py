@@ -8,8 +8,9 @@ import pytest
 import fairdispatch.sim as sim_module
 from fairdispatch import matcher
 from fairdispatch.demand import DemandProfile, Request, synth_requests
-from fairdispatch.errors import ConfigError, InputError, InstanceTooLargeError
+from fairdispatch.errors import ConfigError, ContractError, InputError, InstanceTooLargeError, WindowSolveError
 from fairdispatch.fleet import VehicleState, feasible_actions, random_fleet
+from fairdispatch.metrics import DriverHistory, PassengerHistory
 from fairdispatch.network import GroupId, grid_partition, make_grid
 from fairdispatch.scoring import ScoreWeights, ValueFunction
 from fairdispatch.sim import (
@@ -20,6 +21,7 @@ from fairdispatch.sim import (
     check_driver_theorem,
     check_passenger_theorem,
     run_simulation,
+    step_window,
     sweep,
 )
 
@@ -184,6 +186,40 @@ def test_bundle_3_desk_run_keeps_the_oracle_and_conserves_requests(monkeypatch):
     assert result.passenger_history.totals() == (len(requests), result.total_served)
 
 
+def test_stepping_the_windows_by_hand_repeats_the_run():
+    net, part, requests, fleet = small_world(seed=2)
+    cfg = small_cfg(weights=ScoreWeights(beta=5.0, delta=5.0))
+    result = run_simulation(cfg, net, part, requests, fleet, record_trace=True)
+    vehicles = sorted((v.clone() for v in fleet), key=lambda v: v.id)
+    hist_p, hist_d = PassengerHistory.empty(), DriverHistory.zeroed([v.id for v in vehicles])
+    for k, window in enumerate(result.matchings):
+        batch = [r for r in requests if k * 60.0 <= r.arrival < (k + 1) * 60.0]
+        _, matching, hist_p, hist_d = step_window(vehicles, hist_p, hist_d, batch, k, net, cfg, part)
+        assert {v: tuple(sorted(ids)) for v, ids in matching.assigned.items()} == window
+    assert (hist_p, hist_d) == (result.passenger_history, result.driver_history)
+
+
+def test_a_failed_solve_carries_its_window_and_problem(monkeypatch):
+    solved = []
+
+    def fail_third(problem):
+        if len(solved) == 2:
+            raise ContractError("solver gave up")
+        solved.append(problem)
+        return matcher.solve_ilp(problem)
+
+    monkeypatch.setattr(sim_module, "solve_ilp", fail_third)
+    net, part, requests, fleet = small_world(seed=2)
+    with pytest.raises(WindowSolveError, match="^solver gave up$") as info:
+        run_simulation(small_cfg(), net, part, requests, fleet)
+    assert info.value.window == 2
+    assert info.value.problem.batch_ids == {r.id for r in requests if 120.0 <= r.arrival < 180.0}
+    assert isinstance(info.value.__cause__, ContractError)
+    # A parallel sweep's worker sends the error back pickled.
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert (str(copy), copy.window, copy.problem) == ("solver gave up", 2, info.value.problem)
+
+
 def test_run_rejects_bad_inputs():
     net, part, requests, fleet = small_world()
     with pytest.raises(ConfigError):
@@ -339,7 +375,7 @@ def test_driver_instance_structure():
         j = inst.worst
         assert hist.scaled_income(j) < hist.mean_scaled()
         # exactly one worse-off driver can feasibly serve the preferred request
-        r_star = max(inst.requests, key=lambda r: inst.pricing.get(r.id, 1.0))
+        r_star = max(inst.requests, key=lambda r: inst.config.pricing.get(r.id, 1.0))
         worse_off_servers = []
         for v in inst.fleet:
             if hist.scaled_income(v.id) >= hist.mean_scaled():
