@@ -4,15 +4,18 @@ A manifest mirrors the simulation config and points at (or inlines) the
 network, partition, request source, fleet, optional value table and optional
 pricing.  Relative paths are resolved against the manifest's directory.
 
-Every field is read through one typed reader (`_number`, `_integer`,
-`_boolean`, `_object`, `_path`), so a wrong JSON type raises a `ConfigError`
-naming the field.  Ranges and memberships are checked by the constructors the
-values go to, not here.
+Each section names the keys it accepts once, and `_object` refuses any other
+key.  A field that fills a dataclass is passed only when the manifest sets it,
+so its default is the dataclass's.  Every field is read through one typed
+reader (`_number`, `_integer`, `_boolean`, `_text`, `_object`, `_path`), so a
+wrong JSON type or a stray key raises a `ConfigError` naming the dotted field.
+Ranges and memberships are checked by the constructors the values go to.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,25 +34,6 @@ from .network import (
 )
 from .scoring import ScoreWeights, ValueFunction, load_pricing, load_value_table
 from .sim import SimConfig
-
-_TOP_LEVEL_KEYS = {
-    "window_len",
-    "horizon",
-    "max_wait",
-    "max_detour",
-    "max_bundle",
-    "seed",
-    "matcher",
-    "incentives_enabled",
-    "weights",
-    "vfa",
-    "network",
-    "partition",
-    "requests",
-    "fleet",
-    "pricing",
-}
-
 
 @dataclass
 class Scenario:
@@ -84,16 +68,49 @@ def _integer(spec: dict, field: str, default: int | None = None) -> int:
     return int(_read(spec, field, default, "an integer", _is_integer))
 
 
-def _boolean(spec: dict, field: str, default: bool) -> bool:
-    return _read(spec, field, default, "true or false", lambda v: isinstance(v, bool))
+def _boolean(spec: dict, field: str) -> bool:
+    return _read(spec, field, None, "true or false", lambda v: isinstance(v, bool))
 
 
-def _object(spec: dict, field: str, default: dict | None = None) -> dict:
-    return _read(spec, field, default, "an object", lambda v: isinstance(v, dict))
+def _text(spec: dict, field: str) -> str:
+    return _read(spec, field, None, "a string", lambda v: isinstance(v, str))
+
+
+def _object(spec: dict, field: str, keys: Collection[str], default: dict | None = None) -> dict:
+    """The object at `field`, refused if it holds a key outside `keys`."""
+    value = _read(spec, field, default, "an object", lambda v: isinstance(v, dict))
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise _fail(f"{field}.{unknown[0]}", f"unknown key; '{field}' takes {', '.join(keys)}")
+    return value
 
 
 def _path(spec: dict, field: str, base: Path) -> Path:
     return base / _read(spec, field, None, "a file path", lambda v: isinstance(v, str))
+
+
+def _fields(spec: dict, table: dict, section: str = "") -> dict:
+    """The keys of `table` that `spec` sets, each read by its reader in `table`."""
+    prefix = f"{section}." if section else ""
+    return {key: read(spec, prefix + key) for key, read in table.items() if key in spec}
+
+
+# SimConfig's scalar fields.  With the sections, each read by its own function
+# below, they are the keys the top level of a manifest accepts.
+_CONFIG = {
+    "window_len": _number,
+    "horizon": _number,
+    "max_wait": _number,
+    "max_detour": _number,
+    "max_bundle": _integer,
+    "seed": _integer,
+    "matcher": _text,
+    "incentives_enabled": _boolean,
+}
+_SECTIONS = ("weights", "vfa", "pricing", "network", "partition", "requests", "fleet")
+_WEIGHTS = {"beta": _number, "delta": _number, "passenger_plus": _boolean, "driver_plus": _boolean}
+# `vfa` also takes `path`, the value table read when `kind` is "table".
+_VFA = {"kind": _text, "omega": _number, "bucket_seconds": _number}
 
 
 def read_manifest(path: str | Path) -> dict:
@@ -106,7 +123,7 @@ def read_manifest(path: str | Path) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: manifest must be a JSON object")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
+    unknown = set(doc) - {*_CONFIG, *_SECTIONS}
     if unknown:
         raise ConfigError(f"{path}: unknown manifest keys {sorted(unknown)}")
     return doc
@@ -114,49 +131,36 @@ def read_manifest(path: str | Path) -> dict:
 
 def horizon_from(doc: dict) -> float:
     """The run's horizon in seconds, also a request profile's default horizon."""
-    return _number(doc, "horizon", 86400.0)
-
-
-def _weights_from(doc: dict) -> ScoreWeights:
-    spec = _object(doc, "weights", {})
-    return ScoreWeights(
-        beta=_number(spec, "weights.beta", 0.0),
-        delta=_number(spec, "weights.delta", 0.0),
-        passenger_plus=_boolean(spec, "weights.passenger_plus", False),
-        driver_plus=_boolean(spec, "weights.driver_plus", False),
-    )
+    return _number(doc, "horizon", SimConfig.horizon)
 
 
 def _vfa_from(doc: dict, base: Path) -> ValueFunction:
-    spec = _object(doc, "vfa", {})
-    kind = spec.get("kind", "zero")
-    return ValueFunction(
-        kind=kind,
-        omega=_number(spec, "vfa.omega", 1e-4),
-        table=load_value_table(_path(spec, "vfa.path", base)) if kind == "table" else {},
-        bucket_seconds=_number(spec, "vfa.bucket_seconds", 3600.0),
-    )
+    spec = _object(doc, "vfa", (*_VFA, "path"), {})
+    fields = _fields(spec, _VFA, "vfa")
+    if fields.get("kind") == "table":
+        fields["table"] = load_value_table(_path(spec, "vfa.path", base))
+    return ValueFunction(**fields)
 
 
 def network_from(doc: dict, base: Path) -> tuple[StreetNetwork, AreaPartition]:
     """The street network and its partition into areas."""
-    spec = _object(doc, "network")
+    spec = _object(doc, "network", ("path", "grid"))
     if "path" in spec:
         net, shape = load_network(_path(spec, "network.path", base)), None
     elif "grid" in spec:
-        grid = _object(spec, "network.grid")
+        grid = _object(spec, "network.grid", ("rows", "cols", "edge_cost"))
         shape = (_integer(grid, "network.grid.rows"), _integer(grid, "network.grid.cols"))
         net = make_grid(*shape, _number(grid, "network.grid.edge_cost", 60.0))
     else:
         raise _fail("network", "needs either 'path' or 'grid'")
-    part = _object(doc, "partition")
+    part = _object(doc, "partition", ("path", "grid"))
     if "path" in part:
         return net, load_partition(_path(part, "partition.path", base))
     if "grid" not in part:
         raise _fail("partition", "needs either 'path' or 'grid'")
     if shape is None:
         raise _fail("partition.grid", "grid partitions require a grid network")
-    tile = _object(part, "partition.grid")
+    tile = _object(part, "partition.grid", ("rows_per_area", "cols_per_area"))
     return net, grid_partition(
         *shape,
         _integer(tile, "partition.grid.rows_per_area"),
@@ -167,11 +171,12 @@ def network_from(doc: dict, base: Path) -> tuple[StreetNetwork, AreaPartition]:
 def requests_from(
     doc: dict, base: Path, net: StreetNetwork, partition: AreaPartition, horizon: float
 ) -> list[Request]:
-    spec = _object(doc, "requests")
+    spec = _object(doc, "requests", ("path", "profile"))
     if "path" in spec:
         return load_requests(_path(spec, "requests.path", base), partition, net)
     if "profile" in spec:
-        profile = _profile_from(_object(spec, "requests.profile"), horizon)
+        keys = ("rates", "horizon", "seed", "step")
+        profile = _profile_from(_object(spec, "requests.profile", keys), horizon)
         return synth_requests(profile, net, partition)
     raise _fail("requests", "needs either 'path' or 'profile'")
 
@@ -192,16 +197,16 @@ def _profile_from(spec: dict, default_horizon: float) -> DemandProfile:
         rates=rates,
         horizon=_number(spec, "requests.profile.horizon", default_horizon),
         seed=_integer(spec, "requests.profile.seed", 0),
-        step_seconds=_number(spec, "requests.profile.step", 60.0),
+        step_seconds=_number(spec, "requests.profile.step", DemandProfile.step_seconds),
     )
 
 
 def fleet_from(doc: dict, base: Path, net: StreetNetwork) -> list[VehicleState]:
-    spec = _object(doc, "fleet")
+    spec = _object(doc, "fleet", ("path", "random"))
     if "path" in spec:
         return load_fleet(_path(spec, "fleet.path", base), net)
     if "random" in spec:
-        draw = _object(spec, "fleet.random")
+        draw = _object(spec, "fleet.random", ("size", "capacity", "seed"))
         return random_fleet(
             _integer(draw, "fleet.random.size"),
             _integer(draw, "fleet.random.capacity"),
@@ -220,18 +225,12 @@ def load_scenario(path: str | Path) -> Scenario:
     # The config first: its checks are cheap and bound the work of the rest.
     pricing = None
     if "pricing" in doc:
-        pricing = load_pricing(_path(_object(doc, "pricing"), "pricing.path", base))
+        pricing = load_pricing(_path(_object(doc, "pricing", ("path",)), "pricing.path", base))
+    weights = _object(doc, "weights", _WEIGHTS, {})
     config = SimConfig(
-        window_len=_number(doc, "window_len", 60.0),
-        horizon=horizon_from(doc),
-        max_wait=_number(doc, "max_wait", 300.0),
-        max_detour=_number(doc, "max_detour", 300.0),
-        max_bundle=_integer(doc, "max_bundle", 2),
+        **_fields(doc, _CONFIG),
         vfa=_vfa_from(doc, base),
-        weights=_weights_from(doc),
-        matcher=doc.get("matcher", "ilp"),
-        seed=_integer(doc, "seed", 0),
-        incentives_enabled=_boolean(doc, "incentives_enabled", True),
+        weights=ScoreWeights(**_fields(weights, _WEIGHTS, "weights")),
         pricing=pricing,
     )
     net, partition = network_from(doc, base)

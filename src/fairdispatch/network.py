@@ -287,4 +287,7 @@ def load_partition(path: str | Path) -> AreaPartition:
         area_of[loc] = area
     if not area_of:
         raise ParseError(f"{path}: partition file is empty")
-    return AreaPartition(area_of, max(area_of.values()) + 1)
+    try:
+        return AreaPartition(area_of, max(area_of.values()) + 1)
+    except InputError as exc:
+        raise ParseError(f"{path}: {exc}") from None

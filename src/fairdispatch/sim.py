@@ -60,9 +60,9 @@ DEFAULT_WEIGHT_LADDER = (1.0, 10.0, 1e3, 1e6)
 class SimConfig:
     window_len: float = 60.0
     horizon: float = 86400.0
-    max_wait: float = 300.0
-    max_detour: float = 300.0
-    max_bundle: int = 2
+    max_wait: float = RideConstraints.max_wait
+    max_detour: float = RideConstraints.max_detour
+    max_bundle: int = RideConstraints.max_bundle
     vfa: ValueFunction = field(default_factory=ValueFunction)
     weights: ScoreWeights = field(default_factory=ScoreWeights)
     matcher: str = "ilp"
@@ -375,7 +375,6 @@ class TheoremInstance:
 
 @dataclass(frozen=True)
 class TheoremOutcome:
-    seed: int
     unfair_at_zero: bool
     baseline_metric: float
     ladder_metrics: dict[float, float]
@@ -395,8 +394,8 @@ def _theorem_world(seed: int) -> tuple[random.Random, StreetNetwork, AreaPartiti
 
 
 def _in_reach(net: StreetNetwork, start: int, pickup: int) -> bool:
-    # Within the pickup deadline margin left after the batching window.
-    return net.travel_time(start, pickup) <= 300.0 - 60.0
+    # Within the pickup deadline margin left after the default batching window.
+    return net.travel_time(start, pickup) <= SimConfig.max_wait - SimConfig.window_len
 
 
 def build_passenger_min_unfair_instance(seed: int) -> TheoremInstance:
@@ -554,11 +553,11 @@ def _check_theorem(
     dump = problem_to_json(problem0)
     detail = unfairness(problem0, matching0)
     if detail:
-        return TheoremOutcome(inst.config.seed, False, 0.0, {}, False, dump, detail)
+        return TheoremOutcome(False, 0.0, {}, False, dump, detail)
     baseline = metric(*histories0)
     ladder_metrics = {w: metric(*window(weights_at(w))[2:]) for w in ladder}
     improved = any(value > baseline for value in ladder_metrics.values())
-    return TheoremOutcome(inst.config.seed, True, baseline, ladder_metrics, improved, dump)
+    return TheoremOutcome(True, baseline, ladder_metrics, improved, dump)
 
 
 def _feasible_ids(problem: MatchProblem, v: int) -> set[int]:

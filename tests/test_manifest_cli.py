@@ -18,6 +18,7 @@ from fairdispatch.manifest import load_scenario
 from fairdispatch.matcher import problem_from_json, solve_ilp
 from fairdispatch.network import grid_partition, load_network, load_partition, make_grid
 from fairdispatch.scoring import load_pricing, load_value_table
+from fairdispatch.sim import SimConfig
 
 
 def write_manifest(path: Path, **overrides) -> Path:
@@ -43,6 +44,13 @@ def test_load_scenario_happy(tmp_path):
     assert scenario.partition.num_areas == 1
     assert len(scenario.fleet) == 2
     assert scenario.config.n_windows == 5
+
+
+def test_omitted_fields_take_the_dataclass_defaults(tmp_path):
+    doc = json.loads(write_manifest(tmp_path / "m.json").read_text())
+    bare = {key: doc[key] for key in ("network", "partition", "requests", "fleet")}
+    (tmp_path / "bare.json").write_text(json.dumps(bare))
+    assert load_scenario(tmp_path / "bare.json").config == SimConfig()
 
 
 def test_load_scenario_rejects_unknown_keys(tmp_path):
@@ -186,6 +194,26 @@ MALFORMED = {
     "infinite max_detour": ({"max_detour": float("inf")}, "max_detour", False),
     "infinite vfa omega": ({"vfa": {"kind": "delay", "omega": float("-inf")}}, "vfa.omega", False),
     "integer beyond float range": ({"max_wait": 10**400}, "max_wait", False),
+    # misspelt or stray keys, named as dotted fields
+    "misspelt beta": ({"weights": {"betta": 20}}, "weights.betta", False),
+    "misspelt vfa omega": ({"vfa": {"kind": "delay", "omga": 0.1}}, "vfa.omga", False),
+    "misspelt edge_cost": (
+        {"network": {"grid": {"rows": 3, "cols": 3, "edgecost": 60}}}, "network.grid.edgecost", True
+    ),
+    "stray partition grid key": (
+        {"partition": {"grid": {"rows_per_area": 3, "cols_per_area": 3, "rows": 3}}},
+        "partition.grid.rows",
+        True,
+    ),
+    "misspelt profile seed": (
+        {"requests": {"profile": {"rates": [[0, 0, 0.6]], "sead": 5}}}, "requests.profile.sead", True
+    ),
+    "misspelt profile step": (
+        {"requests": {"profile": {"rates": [[0, 0, 0.6]], "stepp": 30}}}, "requests.profile.stepp", True
+    ),
+    "misspelt fleet seed": (
+        {"fleet": {"random": {"size": 2, "capacity": 2, "sed": 9}}}, "fleet.random.sed", False
+    ),
 }
 
 
@@ -254,6 +282,14 @@ REFUSED = {
     "random fleet capacity": ({"fleet": {"random": {"size": 2, "capacity": 7}}}, "capacity"),
     "fleet file capacity": ({"fleet": {"path": "wide-fleet.csv"}}, "wide-fleet.csv:1: vehicle 0: capacity"),
     "max_bundle": ({"max_bundle": 5}, "max_bundle"),
+    "partition file with an area gap": (
+        {"network": {"path": "net.csv"}, "partition": {"path": "skip.csv"}},
+        "skip.csv: partition declares 3 areas but maps 2",
+    ),
+    "partition file with a negative area": (
+        {"network": {"path": "net.csv"}, "partition": {"path": "negative.csv"}},
+        "negative.csv: area ids must lie in [0, 1)",
+    ),
 }
 
 
@@ -263,6 +299,8 @@ def test_disagreeing_or_oversized_scenario_exits_2(tmp_path, capsys, case):
     (tmp_path / "part.csv").write_text("0,0\n1,0\n2,1\n7,1\n")
     (tmp_path / "req.csv").write_text("0,1,5\n0,7,10\n")
     (tmp_path / "gap.csv").write_text("0,0\n1,0\n")
+    (tmp_path / "skip.csv").write_text("0,0\n1,2\n")
+    (tmp_path / "negative.csv").write_text("0,0\n1,-1\n")
     (tmp_path / "gap-req.csv").write_text("0,1,10\n")
     (tmp_path / "fleet.csv").write_text("0,2,2\n")
     (tmp_path / "vfa.csv").write_text("0,1,0,0.5\n")
@@ -492,7 +530,7 @@ def test_theorem_check_failure_dumps_instance(tmp_path, monkeypatch):
     from fairdispatch.sim import TheoremOutcome
 
     def always_fail(inst, ladder):
-        return TheoremOutcome(inst.config.seed, True, 0.5, {1.0: 0.5}, False, '{"vehicles": []}')
+        return TheoremOutcome(True, 0.5, {1.0: 0.5}, False, '{"vehicles": []}')
 
     monkeypatch.setattr(cli, "check_passenger_theorem", always_fail)
     out = tmp_path / "thm"

@@ -458,6 +458,38 @@ def test_highs_path_keeps_the_oracle_tie_break(monkeypatch):
         assert a.total_score == b.total_score, i
 
 
+def test_search_budget_decides_a_one_ulp_near_tie(monkeypatch):
+    """The two matcher paths break a near-tie differently, as the README says.
+
+    The fixture is the 22-vehicle component of window 3 of city-greedy's
+    scenario at seed 0 under the exact matcher (75 candidates); its window
+    also holds a 62-vehicle component.  Both totals below are 36.4 in exact
+    arithmetic.  HiGHS treats them as tied and keeps the lexicographically
+    smaller assignment; the exact search, given the budget to finish, keeps
+    the one ulp higher total.  A change to SEARCH_BUDGET that moves this
+    component to the other path fails here.
+    """
+    p = problem_from_json(FIXTURES / "city-exact-window3-component22.json")
+    handed_over = []
+    highs = matcher._solve_with_highs
+
+    def spy(vehicles, masks):
+        handed_over.append(vehicles)
+        return highs(vehicles, masks)
+
+    monkeypatch.setattr(matcher, "_solve_with_highs", spy)
+    bounded = solve_ilp(p)
+    assert handed_over == [sorted(p.vehicle_ids)]
+    assert bounded.total_score.hex() == "0x1.2333333333333p+5"
+
+    monkeypatch.setattr(matcher, "SEARCH_BUDGET", 10**12)
+    exact = solve_ilp(p)
+    assert len(handed_over) == 1
+    assert exact.total_score.hex() == "0x1.2333333333334p+5"
+    indices = [[m.chosen[v] for v in p.vehicle_ids] for m in (bounded, exact)]
+    assert indices[1] > indices[0]
+
+
 def test_one_vehicle_components_take_their_lowest_top_index(monkeypatch):
     """One-vehicle components are solved without the search or HiGHS, and
     still agree with the oracle under tied maxima and ties with the null."""
