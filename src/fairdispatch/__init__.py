@@ -18,6 +18,7 @@ from .fleet import (
     feasible_actions,
     load_fleet,
     random_fleet,
+    reachable_requests,
 )
 from .matcher import (
     Candidate,

@@ -105,7 +105,7 @@ def synth_requests(
     profile: DemandProfile, net: StreetNetwork, partition: AreaPartition
 ) -> list[Request]:
     """Seeded Poisson request stream; identical output for identical profiles."""
-    active = [(g, rate) for g, rate in sorted(profile.rates.items()) if rate > 0]
+    active = [(GroupId(*g), rate) for g, rate in sorted(profile.rates.items()) if rate > 0]
     pools = {g: _group_location_pools(g, partition) for g, _ in active}
     for g in pools:
         for loc in pools[g][0] + pools[g][1]:
@@ -114,7 +114,7 @@ def synth_requests(
 
     rng = np.random.default_rng(profile.seed)
     step = profile.step_seconds
-    drawn: list[tuple[float, int, int]] = []
+    drawn: list[tuple[float, int, int, GroupId]] = []
     n_steps = math.ceil(profile.horizon / step)
     for t in range(n_steps):
         start = t * step
@@ -131,10 +131,11 @@ def synth_requests(
                     dropoff = others[rng.integers(0, len(others))]
                 else:
                     dropoff = dropoffs[rng.integers(0, len(dropoffs))]
-                drawn.append((arrival, pickup, dropoff))
+                # Drawn from the group's own areas, so the group is the request's.
+                drawn.append((arrival, pickup, dropoff, group))
 
     drawn.sort(key=lambda item: item[0])
     return [
-        Request(i, pickup, dropoff, arrival, group_of(partition, pickup, dropoff))
-        for i, (arrival, pickup, dropoff) in enumerate(drawn)
+        Request(i, pickup, dropoff, arrival, group)
+        for i, (arrival, pickup, dropoff, group) in enumerate(drawn)
     ]

@@ -3,11 +3,16 @@
 An action is a subset of the current batch a vehicle can absorb into its
 route while honouring pickup deadlines (request arrival plus the maximum
 wait), dropoff deadlines (pickup time plus direct travel plus the detour
-allowance), and capacity.  Route plans are found by exhaustive search over
-stop orderings, so each returned action carries the minimum added travel
-time realisation of its request set.  The search keeps the first fastest
-order it finds with the pickup times along it, so a plan's new dropoff
-deadlines come from the search, not from a second walk of the order.
+allowance), and capacity.  Once per window, `reachable_requests` checks
+every vehicle against every request in one NumPy comparison over the
+network's distance table and keeps, per vehicle, the requests whose pickup
+it reaches in time; `feasible_actions` grows one vehicle's bundles from
+those alone.  Route plans are found by exhaustive search over stop
+orderings, reading travel times from the flat distance table by location
+index, so each returned action carries the minimum added travel time
+realisation of its request set.  The search keeps the first fastest order
+it finds with the pickup times along it, so a plan's new dropoff deadlines
+come from the search, not from a second walk of the order.
 
 That search is factorial in the number of stops, so capacity and bundle
 size have ceilings (MAX_CAPACITY, MAX_BUNDLE), and so does the fleet
@@ -133,42 +138,50 @@ def null_action(v: VehicleState) -> Action:
     return Action(requests=(), plan=tuple(v.route), added_delay=0.0)
 
 
-def _route_completion(start: int, t: float, stops: Sequence[Stop], net: StreetNetwork) -> float:
-    pos = start
-    for stop in stops:
-        t += net.travel_time(pos, stop.location)
-        pos = stop.location
-    return t
-
-
 class _PlanSearch:
-    """Exhaustive minimum-completion-time ordering of existing and new stops.
+    """Exhaustive minimum-completion-time ordering of a route's stops and a bundle's.
 
-    Runs on construction and keeps the first fastest order (tokens) with a
-    copy of its pickup times, from which `plan` reads the new deadlines.
+    Built once per vehicle and window; `run` searches one bundle and keeps
+    the first fastest order (tokens) with a copy of its pickup times, from
+    which `plan` reads the new deadlines.  Tokens carry each stop's location
+    index, so a step reads its travel time from the flat table at
+    `row + index`.
     """
 
     def __init__(
-        self,
-        v: VehicleState,
-        new_requests: Sequence[Request],
-        start: int,
-        t0: float,
-        net: StreetNetwork,
-        constraints: RideConstraints,
+        self, v: VehicleState, now: float, net: StreetNetwork, constraints: RideConstraints
     ):
-        self.net = net
+        self.times = times = net.travel_table()
+        self.n = n = len(net.locations)
+        self.locations = net.locations
+        self.index_of = net.index_of
+        self.max_wait = constraints.max_wait
         self.max_detour = constraints.max_detour
         self.capacity = v.capacity
-        # token = (location, request_id, kind, deadline or None for new dropoffs)
-        self.tokens: list[tuple[int, int, str, float | None]] = [
-            (s.location, s.request_id, s.kind, s.deadline) for s in v.route
+        self.onboard = len(v.onboard)
+        start, offset = v.planning_origin(net)
+        self.start_row = net.index_of(start) * n
+        self.t0 = now + offset
+        # token = (location index, request_id, kind, deadline or None for new dropoffs)
+        self.route: list[tuple[int, int, str, float | None]] = [
+            (net.index_of(s.location), s.request_id, s.kind, s.deadline) for s in v.route
         ]
+        # When the current route, walked in order, ends: the null action's completion.
+        row, self.route_end = self.start_row, self.t0
+        for j, *_ in self.route:
+            self.route_end += times[row + j]
+            row = j * n
+
+    def run(self, new_requests: Sequence[Request]) -> bool:
+        """Search the route plus `new_requests`; True when some order meets every deadline."""
+        times, n, index_of = self.times, self.n, self.index_of
+        self.tokens = list(self.route)
         self.direct: dict[int, float] = {}
         for r in new_requests:
-            self.tokens.append((r.pickup, r.id, PICKUP, r.arrival + constraints.max_wait))
-            self.tokens.append((r.dropoff, r.id, DROPOFF, None))
-            self.direct[r.id] = net.travel_time(r.pickup, r.dropoff)
+            pickup, dropoff = index_of(r.pickup), index_of(r.dropoff)
+            self.tokens.append((pickup, r.id, PICKUP, r.arrival + self.max_wait))
+            self.tokens.append((dropoff, r.id, DROPOFF, None))
+            self.direct[r.id] = times[pickup * n + dropoff]
         self.pickup_index = {
             tok[1]: i for i, tok in enumerate(self.tokens) if tok[2] == PICKUP
         }
@@ -176,25 +189,27 @@ class _PlanSearch:
         self.best_time = float("inf")
         self.best_order: tuple[tuple[int, int, str, float | None], ...] | None = None
         self.best_pickups: dict[int, float] = {}
-        self._extend(start, t0, len(v.onboard), 0, {}, [])
+        self._extend(self.start_row, self.t0, self.onboard, 0, {}, [])
+        return self.best_order is not None
 
     def plan(self) -> tuple[Stop, ...]:
         """The best order's stops; a new dropoff is due `max_detour` after its direct ride."""
         due = {rid: self.best_pickups[rid] + d + self.max_detour for rid, d in self.direct.items()}
         return tuple(
-            Stop(loc, rid, kind, due[rid] if deadline is None else deadline)
-            for loc, rid, kind, deadline in self.best_order
+            Stop(self.locations[j], rid, kind, due[rid] if deadline is None else deadline)
+            for j, rid, kind, deadline in self.best_order
         )
 
     def _extend(
         self,
-        pos: int,
+        row: int,
         t: float,
         count: int,
         placed: int,
         pickup_times: dict[int, float],
         order: list[tuple[int, int, str, float | None]],
     ) -> None:
+        """Place every unplaced stop next, from the location whose table row starts at `row`."""
         if t >= self.best_time:
             return
         if placed == self.full:
@@ -202,12 +217,13 @@ class _PlanSearch:
             self.best_order = tuple(order)
             self.best_pickups = dict(pickup_times)
             return
-        travel = self.net.travel_time
+        times = self.times
+        n = self.n
         tokens = self.tokens
         for i, token in enumerate(tokens):
             if placed & (1 << i):
                 continue
-            loc, rid, kind, deadline = token
+            j, rid, kind, deadline = token
             if kind == DROPOFF:
                 pk = self.pickup_index.get(rid)
                 if pk is not None and not placed & (1 << pk):
@@ -216,56 +232,84 @@ class _PlanSearch:
                     deadline = pickup_times[rid] + self.direct[rid] + self.max_detour
             elif count >= self.capacity:
                 continue
-            t2 = t + travel(pos, loc)
+            t2 = t + times[row + j]
             if t2 > deadline:
                 continue
             after = placed | (1 << i)
             # Every unplaced stop with a known deadline must still be reachable
             # in time from here; travel times satisfy the triangle inequality,
             # so t2 + direct distance lower-bounds its eventual visit time.
-            for j, (other, _rid, _kind, due) in enumerate(tokens):
-                if not after & (1 << j) and due is not None and t2 + travel(loc, other) > due:
+            here = j * n
+            for k, (other, _rid, _kind, due) in enumerate(tokens):
+                if not after & (1 << k) and due is not None and t2 + times[here + other] > due:
                     break
             else:
                 if kind == PICKUP:
                     pickup_times[rid] = t2
-                    self._extend(loc, t2, count + 1, after, pickup_times, order + [token])
+                    self._extend(here, t2, count + 1, after, pickup_times, order + [token])
                     del pickup_times[rid]
                 else:
-                    self._extend(loc, t2, count - 1, after, pickup_times, order + [token])
+                    self._extend(here, t2, count - 1, after, pickup_times, order + [token])
 
 
-def feasible_actions(
-    v: VehicleState,
+def reachable_requests(
+    vehicles: Sequence[VehicleState],
     batch: Sequence[Request],
     now: float,
     net: StreetNetwork,
     constraints: RideConstraints,
-) -> list[Action]:
-    """All request subsets the vehicle can serve, each with its best plan.
+) -> list[list[Request]]:
+    """For each vehicle, the requests whose pickup it reaches in time, by ascending id.
 
-    Bundles grow one request per layer, as in Alonso-Mora et al.'s trip
-    construction.  The first layer's pool is the requests whose pickup is
-    still reachable in time, each later pool the requests of the previous
-    layer's bundles, and a bundle (sorted ids) is searched only when every
-    bundle one request smaller is feasible; dropping stops never delays the
-    rest, so none is missed.  The null action comes first, then bundles by
-    size and then by request ids.
+    A vehicle reaches a pickup in time when its planning origin's arrival
+    time plus the travel time to the pickup is at most the request's arrival
+    plus `max_wait`.  The whole fleet is checked against the whole batch in
+    one NumPy comparison of that same float expression; a vehicle with no
+    free seat gets no requests.
+    """
+    reachable: list[list[Request]] = [[] for _ in vehicles]
+    seated = [k for k, v in enumerate(vehicles) if v.capacity > len(v.onboard)]
+    if not batch or not seated:
+        return reachable
+    ordered = sorted(batch, key=lambda r: r.id)
+    pickups = np.array([net.index_of(r.pickup) for r in ordered])
+    due = np.array([r.arrival + constraints.max_wait for r in ordered])
+    starts = [vehicles[k].planning_origin(net) for k in seated]
+    origins = np.array([net.index_of(start) for start, _ in starts])
+    t0 = np.array([now + offset for _, offset in starts])
+    in_time = t0[:, None] + net.travel_matrix()[origins[:, None], pickups] <= due
+    # Hits come row by row, each row's in ascending request id.
+    for row, i in zip(*(hits.tolist() for hits in np.nonzero(in_time))):
+        reachable[seated[row]].append(ordered[i])
+    return reachable
+
+
+def feasible_actions(
+    v: VehicleState,
+    reachable: Sequence[Request],
+    now: float,
+    net: StreetNetwork,
+    constraints: RideConstraints,
+) -> list[Action]:
+    """All subsets of `reachable` the vehicle can serve, each with its best plan.
+
+    `reachable` is the vehicle's entry of `reachable_requests`: the requests
+    whose pickup it reaches in time, in ascending id order.  Bundles grow one
+    request per layer, as in Alonso-Mora et al.'s trip construction.  The
+    first layer's pool is `reachable`, each later pool the requests of the
+    previous layer's bundles, and a bundle (sorted ids) is searched only when
+    every bundle one request smaller is feasible; dropping stops never delays
+    the rest, so none is missed.  The null action comes first, then bundles
+    by size and then by request ids.
     """
     actions = [null_action(v)]
     room = min(constraints.max_bundle, v.capacity - len(v.onboard))
-    if room <= 0 or not batch:
+    if room <= 0 or not reachable:
         return actions
 
-    start, offset = v.planning_origin(net)
-    t0 = now + offset
-    base_completion = _route_completion(start, t0, v.route, net)
-    by_id = {r.id: r for r in batch}
-    pool = sorted(
-        r.id
-        for r in batch
-        if t0 + net.travel_time(start, r.pickup) <= r.arrival + constraints.max_wait
-    )
+    search = _PlanSearch(v, now, net, constraints)
+    by_id = {r.id: r for r in reachable}
+    pool = [r.id for r in reachable]
     smaller: set[tuple[int, ...]] = {()}
     for size in range(1, room + 1):
         layer: set[tuple[int, ...]] = set()
@@ -273,9 +317,8 @@ def feasible_actions(
             if not smaller.issuperset(combinations(ids, size - 1)):
                 continue
             requests = tuple(by_id[rid] for rid in ids)
-            search = _PlanSearch(v, requests, start, t0, net, constraints)
-            if search.best_order is not None:
-                actions.append(Action(requests, search.plan(), search.best_time - base_completion))
+            if search.run(requests):
+                actions.append(Action(requests, search.plan(), search.best_time - search.route_end))
                 layer.add(ids)
         smaller = layer
         pool = sorted({rid for ids in layer for rid in ids})

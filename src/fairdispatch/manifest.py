@@ -139,25 +139,31 @@ def _vfa_from(doc: dict, base: Path) -> ValueFunction:
     fields = _fields(spec, _VFA, "vfa")
     if fields.get("kind") == "table":
         fields["table"] = load_value_table(_path(spec, "vfa.path", base))
+    elif "path" in spec:
+        raise _fail("vfa.path", "a value table is read only when 'kind' is 'table'")
     return ValueFunction(**fields)
+
+
+def _source(doc: dict, field: str, generator: str) -> tuple[dict, bool]:
+    """The section at `field`, which holds exactly one of 'path' and `generator`, and whether 'path'."""
+    spec = _object(doc, field, ("path", generator))
+    if ("path" in spec) == (generator in spec):
+        raise _fail(field, f"needs exactly one of 'path' and '{generator}'")
+    return spec, "path" in spec
 
 
 def network_from(doc: dict, base: Path) -> tuple[StreetNetwork, AreaPartition]:
     """The street network and its partition into areas."""
-    spec = _object(doc, "network", ("path", "grid"))
-    if "path" in spec:
+    spec, from_file = _source(doc, "network", "grid")
+    if from_file:
         net, shape = load_network(_path(spec, "network.path", base)), None
-    elif "grid" in spec:
+    else:
         grid = _object(spec, "network.grid", ("rows", "cols", "edge_cost"))
         shape = (_integer(grid, "network.grid.rows"), _integer(grid, "network.grid.cols"))
         net = make_grid(*shape, _number(grid, "network.grid.edge_cost", 60.0))
-    else:
-        raise _fail("network", "needs either 'path' or 'grid'")
-    part = _object(doc, "partition", ("path", "grid"))
-    if "path" in part:
+    part, from_file = _source(doc, "partition", "grid")
+    if from_file:
         return net, load_partition(_path(part, "partition.path", base))
-    if "grid" not in part:
-        raise _fail("partition", "needs either 'path' or 'grid'")
     if shape is None:
         raise _fail("partition.grid", "grid partitions require a grid network")
     tile = _object(part, "partition.grid", ("rows_per_area", "cols_per_area"))
@@ -171,14 +177,12 @@ def network_from(doc: dict, base: Path) -> tuple[StreetNetwork, AreaPartition]:
 def requests_from(
     doc: dict, base: Path, net: StreetNetwork, partition: AreaPartition, horizon: float
 ) -> list[Request]:
-    spec = _object(doc, "requests", ("path", "profile"))
-    if "path" in spec:
+    spec, from_file = _source(doc, "requests", "profile")
+    if from_file:
         return load_requests(_path(spec, "requests.path", base), partition, net)
-    if "profile" in spec:
-        keys = ("rates", "horizon", "seed", "step")
-        profile = _profile_from(_object(spec, "requests.profile", keys), horizon)
-        return synth_requests(profile, net, partition)
-    raise _fail("requests", "needs either 'path' or 'profile'")
+    keys = ("rates", "horizon", "seed", "step")
+    profile = _profile_from(_object(spec, "requests.profile", keys), horizon)
+    return synth_requests(profile, net, partition)
 
 
 def _profile_from(spec: dict, default_horizon: float) -> DemandProfile:
@@ -202,18 +206,16 @@ def _profile_from(spec: dict, default_horizon: float) -> DemandProfile:
 
 
 def fleet_from(doc: dict, base: Path, net: StreetNetwork) -> list[VehicleState]:
-    spec = _object(doc, "fleet", ("path", "random"))
-    if "path" in spec:
+    spec, from_file = _source(doc, "fleet", "random")
+    if from_file:
         return load_fleet(_path(spec, "fleet.path", base), net)
-    if "random" in spec:
-        draw = _object(spec, "fleet.random", ("size", "capacity", "seed"))
-        return random_fleet(
-            _integer(draw, "fleet.random.size"),
-            _integer(draw, "fleet.random.capacity"),
-            net,
-            _integer(draw, "fleet.random.seed", 0),
-        )
-    raise _fail("fleet", "needs either 'path' or 'random'")
+    draw = _object(spec, "fleet.random", ("size", "capacity", "seed"))
+    return random_fleet(
+        _integer(draw, "fleet.random.size"),
+        _integer(draw, "fleet.random.capacity"),
+        net,
+        _integer(draw, "fleet.random.seed", 0),
+    )
 
 
 def load_scenario(path: str | Path) -> Scenario:

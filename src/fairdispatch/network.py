@@ -15,6 +15,13 @@ nodes in (distance, id) order and relaxes only on a strictly shorter
 distance.  Parallel edges count at their cheapest cost; self-loops never lie
 on a shortest path.
 
+Each table is one flat array of n**2 entries, row-major by location index
+(entry `i * n + j` is from index i to index j), allocated once at full size
+and filled a block of rows at a time through a NumPy view.  `index_of` maps
+a location id to its index, `travel_table` is the read-only flat distance
+table and `travel_matrix` its read-only (n, n) NumPy view, so a caller can
+check a whole fleet against a whole batch in one comparison.
+
 The two tables take 12 bytes per ordered pair of locations (a float64 and a
 C int), 12 * n**2 bytes in all, so a network above `MAX_LOCATIONS` is
 refused before either is allocated.  An edge whose cost vanishes against a
@@ -63,11 +70,27 @@ class StreetNetwork:
     locations: tuple[int, ...]
     edges: tuple[tuple[int, int, float], ...]
     _index: dict[int, int] = field(repr=False)
-    _dist: list[array] = field(repr=False)
-    _next_hop: list[array] = field(repr=False)
+    _dist: array = field(repr=False)  # "d", n * n entries
+    _next_hop: array = field(repr=False)  # "i", n * n entries; -1 where no path
 
     def __contains__(self, location: int) -> bool:
         return location in self._index
+
+    def index_of(self, location: int) -> int:
+        """Row and column of `location` in the travel tables."""
+        try:
+            return self._index[location]
+        except KeyError:
+            raise InputError(f"unknown location id {location}") from None
+
+    def travel_table(self) -> memoryview:
+        """Read-only flat distance table; entry `i * n + j` is index i to index j."""
+        return memoryview(self._dist).toreadonly()
+
+    def travel_matrix(self) -> np.ndarray:
+        """Read-only (n, n) NumPy view of the distance table, by location index."""
+        n = len(self.locations)
+        return np.frombuffer(self.travel_table(), dtype=np.float64).reshape(n, n)
 
     def travel_time(self, origin: int, dest: int) -> float:
         """Minimum travel seconds from origin to dest; UNREACHABLE if no path."""
@@ -76,7 +99,7 @@ class StreetNetwork:
             j = self._index[dest]
         except KeyError as exc:
             raise InputError(f"unknown location id {exc.args[0]}") from None
-        return self._dist[i][j]
+        return self._dist[i * len(self.locations) + j]
 
     def next_hop(self, origin: int, dest: int) -> int:
         """First location after `origin` on a shortest path to `dest`."""
@@ -85,7 +108,7 @@ class StreetNetwork:
             j = self._index[dest]
         except KeyError as exc:
             raise InputError(f"unknown location id {exc.args[0]}") from None
-        hop = self._next_hop[i][j]
+        hop = self._next_hop[i * len(self.locations) + j]
         if hop < 0:
             raise InputError(f"no path from {origin} to {dest}")
         return self.locations[hop]
@@ -121,8 +144,8 @@ def _all_pairs(
     locs: tuple[int, ...],
     index: dict[int, int],
     edges: list[tuple[int, int, float]],
-) -> tuple[list[array], list[array]]:
-    """Dijkstra from every source, a block at a time; returns distance and next-hop rows."""
+) -> tuple[array, array]:
+    """Dijkstra from every source, a block at a time; returns the flat distance and next-hop tables."""
     n = len(locs)
     # csr_array sums parallel entries; the cheapest edge alone decides every
     # shortest path, and a self-loop never lies on one.
@@ -149,8 +172,12 @@ def _all_pairs(
         tails, heads, costs = zip(*rank)
         layers.append((np.array(tails), np.array(heads), np.array(costs)[:, None]))
 
-    dist: list[array] = []
-    next_hop: list[array] = []
+    # Repeating a one-entry array allocates the table once, with no
+    # temporary of its size.
+    dist = array("d", [0.0]) * (n * n)
+    next_hop = array("i", [0]) * (n * n)
+    dist_rows = np.frombuffer(dist, dtype=np.float64).reshape(n, n)
+    hop_rows = np.frombuffer(next_hop, dtype=np.intc).reshape(n, n)
     for first in range(0, n, _SOURCE_BLOCK):
         sources = np.arange(first, min(first + _SOURCE_BLOCK, n))
         d = dijkstra(graph, indices=sources)
@@ -185,9 +212,8 @@ def _all_pairs(
             hop = up
         else:
             raise ContractError("next-hop chains did not settle")
-        hop = np.where(np.isfinite(d), hop.T, np.intc(-1))
-        dist += [array("d", row.tobytes()) for row in d]
-        next_hop += [array("i", row.tobytes()) for row in hop]
+        dist_rows[first : first + len(sources)] = d
+        hop_rows[first : first + len(sources)] = np.where(np.isfinite(d), hop.T, np.intc(-1))
     return dist, next_hop
 
 

@@ -1,9 +1,10 @@
 """Discrete-time dispatch loop, weight sweeps, and theorem micro-instances.
 
-`step_window` does one window's work: it enumerates feasible actions per
-vehicle for the requests that arrived during the window, scores them against
-one fairness snapshot frozen at window start, solves the assignment, advances
-every vehicle by the window length, and updates both fairness histories once.
+`step_window` does one window's work: it checks which of the requests that
+arrived during the window each vehicle can reach in time, enumerates
+feasible actions per vehicle from those, scores them against one fairness
+snapshot frozen at window start, solves the assignment, advances every
+vehicle by the window length, and updates both fairness histories once.
 Requests left unmatched at the end of their window are dropped.
 `run_simulation` batches the requests and steps every window in turn; the
 theorem harnesses step a single window 0 and read the histories it returns.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from .demand import Request
 from .errors import ConfigError, ContractError, InputError, WindowSolveError
-from .fleet import RideConstraints, VehicleState, advance, feasible_actions
+from .fleet import RideConstraints, VehicleState, advance, feasible_actions, reachable_requests
 from .matcher import (
     Candidate,
     MatchProblem,
@@ -156,8 +157,9 @@ def build_window_problem(
     snapshot = fairness_snapshot(hist_p, hist_d, cfg.weights) if cfg.incentives_enabled else None
     actions_by: dict[int, list] = {}
     candidates: dict[int, list[Candidate]] = {}
-    for v in vehicles:
-        acts = feasible_actions(v, batch, now, net, constraints)
+    reachable = reachable_requests(vehicles, batch, now, net, constraints)
+    for v, requests in zip(vehicles, reachable):
+        acts = feasible_actions(v, requests, now, net, constraints)
         rows = []
         for a in acts:
             if snapshot is not None:

@@ -19,14 +19,21 @@ from fairdispatch.fleet import (
     load_fleet,
     null_action,
     random_fleet,
+    reachable_requests,
 )
-from fairdispatch.network import GroupId, make_grid
+from fairdispatch.network import UNREACHABLE, GroupId, from_edges, make_grid
 
 C = RideConstraints(max_wait=300.0, max_detour=300.0, max_bundle=2)
 
 
 def req(rid, pickup, dropoff, arrival=0.0):
     return Request(rid, pickup, dropoff, arrival, GroupId(0, 0))
+
+
+def feasible(v, batch, now, net, constraints):
+    """`feasible_actions` on the vehicle's reachable requests, as a window builds them."""
+    reachable = reachable_requests([v], batch, now, net, constraints)[0]
+    return feasible_actions(v, reachable, now, net, constraints)
 
 
 def oracle_feasible(v, batch, now, net, constraints):
@@ -121,7 +128,7 @@ def assert_plans_walk(v, batch, now, net, constraints, actions):
 
 def test_empty_batch_yields_only_null(grid3):
     v = VehicleState(0, 4, capacity=2)
-    actions = feasible_actions(v, [], 60.0, grid3, C)
+    actions = feasible(v, [], 60.0, grid3, C)
     assert len(actions) == 1
     assert not actions[0].requests
 
@@ -130,14 +137,14 @@ def test_unreachable_pickup_yields_only_null():
     net = make_grid(1, 9, 50.0)  # line; 0 -> 8 costs 400
     v = VehicleState(0, 0, capacity=1)
     batch = [req(0, 8, 7, arrival=0.0)]
-    actions = feasible_actions(v, batch, 60.0, net, C)
+    actions = feasible(v, batch, 60.0, net, C)
     assert [a.request_ids() for a in actions] == [frozenset()]
 
 
 def test_two_compatible_requests_on_grid(grid3):
     v = VehicleState(0, 0, capacity=2)
     batch = [req(0, 1, 2), req(1, 4, 5)]
-    actions = feasible_actions(v, batch, 60.0, grid3, C)
+    actions = feasible(v, batch, 60.0, grid3, C)
     assert [a.request_ids() for a in actions] == [
         frozenset(),
         frozenset({0}),
@@ -176,7 +183,7 @@ def test_matches_oracle_on_random_instances():
         cons = RideConstraints(
             max_wait=300.0, max_detour=rng.choice([120.0, 300.0]), max_bundle=rng.choice([2, 3])
         )
-        actions = feasible_actions(v, batch, now, net, cons)
+        actions = feasible(v, batch, now, net, cons)
         assert_plans_walk(v, batch, now, net, cons, actions)
         got = {a.request_ids(): a for a in actions}
         expected = oracle_feasible(v, batch, now, net, cons)
@@ -201,7 +208,7 @@ def test_matches_oracle_from_mid_edge_states():
         v = VehicleState(0, rng.randrange(8), capacity=2)
         warmup_pickup, warmup_dropoff = rng.sample(range(8), 2)
         warmup = [req(50, warmup_pickup, warmup_dropoff)]
-        actions = feasible_actions(v, warmup, 60.0, net, C)
+        actions = feasible(v, warmup, 60.0, net, C)
         dt = float(rng.choice([10, 30, 50, 90]))
         advance(v, actions[-1], dt, net)
         now = 60.0 + dt
@@ -209,7 +216,7 @@ def test_matches_oracle_from_mid_edge_states():
         for i in range(2):
             pickup, dropoff = rng.sample(range(8), 2)
             batch.append(req(i, pickup, dropoff, arrival=rng.uniform(0.0, now)))
-        actions = feasible_actions(v, batch, now, net, C)
+        actions = feasible(v, batch, now, net, C)
         assert_plans_walk(v, batch, now, net, C, actions)
         got = {a.request_ids(): a for a in actions}
         expected = oracle_feasible(v, batch, now, net, C)
@@ -229,11 +236,81 @@ def test_downward_closed():
             pickup, dropoff = rng.sample(range(9), 2)
             batch.append(req(i, pickup, dropoff))
         cons = RideConstraints(max_wait=300.0, max_detour=300.0, max_bundle=3)
-        ids = {a.request_ids() for a in feasible_actions(v, batch, 60.0, net, cons)}
+        ids = {a.request_ids() for a in feasible(v, batch, 60.0, net, cons)}
         for s in ids:
             for k in range(len(s)):
                 for sub in combinations(sorted(s), k):
                     assert frozenset(sub) in ids
+
+
+def scalar_reachable(v, batch, now, net, constraints):
+    """Reference: the per-pair pickup check, one vehicle and one request at a time."""
+    if v.capacity <= len(v.onboard):
+        return []
+    start, offset = v.planning_origin(net)
+    t0 = now + offset
+    return [
+        r
+        for r in sorted(batch, key=lambda r: r.id)
+        if t0 + net.travel_time(start, r.pickup) <= r.arrival + constraints.max_wait
+    ]
+
+
+def test_reachable_requests_match_the_scalar_check():
+    rng = random.Random(31)
+    outcomes = set()
+    unreachable = 0
+    for trial in range(60):
+        locs = rng.sample(range(-20, 60), rng.randint(3, 9))
+        lonely = 100  # no edge touches it
+        costs = [k / 3 for k in range(1, 13)]
+        edges = [(u, w, rng.choice(costs)) for u in locs for w in locs if u != w and rng.random() < 0.4]
+        net = from_edges([*locs, lonely], edges)
+        now = 600.0
+        cons = RideConstraints(max_wait=rng.choice([1.0, 4 / 3, 3.0]), max_detour=300.0)
+        vehicles = []
+        for vid in range(rng.randint(0, 6)):
+            v = VehicleState(vid, rng.choice([*locs, lonely]), capacity=rng.randint(1, 2))
+            roll = rng.random()
+            if roll < 0.3 and edges:
+                u, w, cost = rng.choice(edges)
+                v.location, v.next_node = u, w
+                v.edge_progress = rng.choice([0.0, cost / 3, cost / 2])
+            elif roll < 0.5:
+                v.onboard = set(range(90, 90 + v.capacity))  # no free seat
+                v.route = [Stop(rng.choice(locs), rid, DROPOFF, 1e9) for rid in sorted(v.onboard)]
+            vehicles.append(v)
+        batch = []
+        for rid in rng.sample(range(40), rng.randint(0, 8)):  # ids out of arrival order
+            pickup, dropoff = rng.sample([*locs, lonely], 2)
+            if vehicles and rng.random() < 0.5:
+                # due exactly when some vehicle would arrive: ties on the bound
+                v = rng.choice(vehicles)
+                start, offset = v.planning_origin(net)
+                travel = net.travel_time(start, pickup)
+                arrival = now + offset + travel - cons.max_wait if travel != UNREACHABLE else now
+            else:
+                arrival = now - rng.choice([0.0, 1.0, 5 / 3])
+            batch.append(req(rid, pickup, dropoff, arrival=arrival))
+        got = reachable_requests(vehicles, batch, now, net, cons)
+        assert len(got) == len(vehicles)
+        for v, reach in zip(vehicles, got):
+            expected = scalar_reachable(v, batch, now, net, cons)
+            assert reach == expected, f"trial {trial}, vehicle {v.id}"
+            if v.capacity > len(v.onboard):
+                outcomes.update(r in expected for r in batch)
+                start = v.planning_origin(net)[0]
+                unreachable += sum(net.travel_time(start, r.pickup) == UNREACHABLE for r in batch)
+    assert outcomes == {True, False}
+    assert unreachable > 0
+
+
+def test_reachable_requests_of_an_empty_window():
+    net = make_grid(2, 2, 60.0)
+    vehicles = [VehicleState(0, 0, capacity=2), VehicleState(1, 3, capacity=1, onboard={7})]
+    assert reachable_requests(vehicles, [], 60.0, net, C) == [[], []]
+    assert reachable_requests([], [req(0, 1, 2)], 60.0, net, C) == []
+    assert reachable_requests(vehicles, [req(0, 1, 2)], 60.0, net, C) == [[req(0, 1, 2)], []]
 
 
 def test_advance_idle_null_is_noop(grid3):
@@ -247,7 +324,7 @@ def test_advance_pickup_then_dropoff_line():
     net = make_grid(1, 3, 60.0)
     v = VehicleState(0, 0, capacity=1)
     batch = [req(7, 1, 2)]
-    actions = feasible_actions(v, batch, 60.0, net, C)
+    actions = feasible(v, batch, 60.0, net, C)
     single = next(a for a in actions if a.request_ids() == {7})
     completed = advance(v, single, 120.0, net)
     assert completed == [7]
@@ -265,7 +342,7 @@ def test_advance_split_equals_combined():
 
     v1 = fresh()
     single = next(
-        a for a in feasible_actions(v1, batch, 60.0, net, C) if a.request_ids() == {3}
+        a for a in feasible(v1, batch, 60.0, net, C) if a.request_ids() == {3}
     )
     done1 = advance(v1, single, 70.0, net)  # mid-edge between node 1 and 2
     assert v1.edge_progress == 20.0
@@ -292,7 +369,7 @@ def test_advance_conserves_requests():
         for i in range(2):
             pickup, dropoff = rng.sample(range(9), 2)
             batch.append(req(i, pickup, dropoff))
-        actions = feasible_actions(v, batch, 60.0, net, C)
+        actions = feasible(v, batch, 60.0, net, C)
         chosen = actions[rng.randrange(len(actions))]
         expected = set(chosen.request_ids())
         completed = []
@@ -334,7 +411,7 @@ def test_mid_edge_replanning_uses_committed_edge():
     v = VehicleState(0, 0, capacity=1)
     batch = [req(1, 2, 1, arrival=0.0)]
     single = next(
-        a for a in feasible_actions(v, batch, 60.0, net, C) if a.request_ids() == {1}
+        a for a in feasible(v, batch, 60.0, net, C) if a.request_ids() == {1}
     )
     advance(v, single, 40.0, net)
     assert (v.location, v.next_node, v.edge_progress) == (0, 1, 40.0)

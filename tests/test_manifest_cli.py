@@ -214,6 +214,25 @@ MALFORMED = {
     "misspelt fleet seed": (
         {"fleet": {"random": {"size": 2, "capacity": 2, "sed": 9}}}, "fleet.random.sed", False
     ),
+    # a section holds exactly one of its file and its generator, and a value
+    # table's path goes with kind "table" alone; no file named here exists
+    "network path and grid": (
+        {"network": {"path": "net.csv", "grid": {"rows": 3, "cols": 3}}}, "network", True
+    ),
+    "network with neither": ({"network": {}}, "network", True),
+    "partition path and grid": (
+        {"partition": {"path": "part.csv", "grid": {"rows_per_area": 3}}}, "partition", True
+    ),
+    "requests path and profile": (
+        {"requests": {"path": "req.csv", "profile": {"rates": [[0, 0, 0.6]]}}}, "requests", True
+    ),
+    "fleet path and random": (
+        {"fleet": {"path": "fleet.csv", "random": {"size": 2, "capacity": 2}}}, "fleet", False
+    ),
+    "vfa path without kind table": (
+        {"vfa": {"kind": "delay", "path": "nothing.csv"}}, "vfa.path", False
+    ),
+    "vfa path without kind": ({"vfa": {"path": "nothing.csv"}}, "vfa.path", False),
 }
 
 

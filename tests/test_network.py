@@ -83,10 +83,17 @@ def heap_all_pairs(locations, edges):
 
 
 def assert_tables_match_heap(net):
+    """Both flat tables equal the oracle's rows laid end to end, byte for byte."""
     dist, next_hop = heap_all_pairs(net.locations, net.edges)
+    flat_dist = array("d", [d for row in dist for d in row]).tobytes()
+    flat_hop = array("i", [hop for row in next_hop for hop in row]).tobytes()
     # bit-identical distances, as float.hex would compare them
-    assert [row.tobytes() for row in net._dist] == [array("d", row).tobytes() for row in dist]
-    assert [list(row) for row in net._next_hop] == next_hop
+    assert net._dist.tobytes() == flat_dist
+    assert net._next_hop.tobytes() == flat_hop
+    assert net.travel_table().tobytes() == flat_dist
+    n = len(net.locations)
+    assert net.travel_matrix().shape == (n, n)
+    assert net.travel_matrix().tobytes() == flat_dist
 
 
 def random_digraph(rng):
@@ -136,11 +143,43 @@ def test_random_digraph_tables_match_heap_dijkstra():
 def test_pickled_network_answers_the_same_lookups():
     net = make_grid(6, 6, 1 / 3)
     copy = pickle.loads(pickle.dumps(net))
+    for table in ("_dist", "_next_hop"):
+        kept, sent = getattr(net, table), getattr(copy, table)
+        assert (sent.typecode, len(sent)) == (kept.typecode, 36 * 36)
+        assert sent.tobytes() == kept.tobytes()
+    assert copy.travel_matrix().tobytes() == net.travel_matrix().tobytes()
+    assert not copy.travel_matrix().flags.writeable
     for a in net.locations:
         for b in net.locations:
             assert copy.travel_time(a, b).hex() == net.travel_time(a, b).hex()
             assert copy.next_hop(a, b) == net.next_hop(a, b)
     assert type(copy.travel_time(0, 35)) is float and type(copy.next_hop(0, 35)) is int
+
+
+def test_travel_views_refuse_writes():
+    net = make_grid(3, 3, 60.0)
+    matrix = net.travel_matrix()
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 1] = 0.0
+    with pytest.raises(ValueError):
+        matrix.flags.writeable = True
+    with pytest.raises(TypeError):
+        net.travel_table()[1] = 0.0
+    assert net.travel_time(0, 1) == matrix[0, 1] == 60.0
+
+
+def test_index_of_addresses_the_tables():
+    net = from_edges([30, 10, 20], [(10, 20, 2.0), (20, 30, 1 / 3), (30, 10, 5.0)])
+    n = len(net.locations)
+    flat, matrix = net.travel_table(), net.travel_matrix()
+    for a in net.locations:
+        for b in net.locations:
+            i, j = net.index_of(a), net.index_of(b)
+            assert flat[i * n + j] == matrix[i, j] == net.travel_time(a, b)
+    assert [net.index_of(loc) for loc in (10, 20, 30)] == [0, 1, 2]
+    with pytest.raises(InputError, match="unknown location id 99"):
+        net.index_of(99)
 
 
 def test_oversized_networks_are_refused_before_any_dijkstra(tmp_path, monkeypatch):

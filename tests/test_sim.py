@@ -9,7 +9,7 @@ import fairdispatch.sim as sim_module
 from fairdispatch import matcher
 from fairdispatch.demand import DemandProfile, Request, synth_requests
 from fairdispatch.errors import ConfigError, ContractError, InputError, InstanceTooLargeError, WindowSolveError
-from fairdispatch.fleet import VehicleState, feasible_actions, random_fleet
+from fairdispatch.fleet import VehicleState, feasible_actions, random_fleet, reachable_requests
 from fairdispatch.metrics import DriverHistory, PassengerHistory
 from fairdispatch.network import GroupId, grid_partition, make_grid
 from fairdispatch.scoring import ScoreWeights, ValueFunction
@@ -351,10 +351,10 @@ def test_passenger_instance_structure():
         worst = [r for r in inst.requests if r.group == inst.worst]
         assert len(worst) == 1
         feasible_anywhere = False
-        for v in inst.fleet:
-            actions = feasible_actions(
-                v, inst.requests, inst.config.window_len, inst.net, inst.config.constraints()
-            )
+        now, cons = inst.config.window_len, inst.config.constraints()
+        reachable = reachable_requests(inst.fleet, inst.requests, now, inst.net, cons)
+        for v, requests in zip(inst.fleet, reachable):
+            actions = feasible_actions(v, requests, now, inst.net, cons)
             if any(a.request_ids() == {worst[0].id} for a in actions):
                 feasible_anywhere = True
         assert feasible_anywhere
@@ -377,12 +377,12 @@ def test_driver_instance_structure():
         # exactly one worse-off driver can feasibly serve the preferred request
         r_star = max(inst.requests, key=lambda r: inst.config.pricing.get(r.id, 1.0))
         worse_off_servers = []
-        for v in inst.fleet:
+        now, cons = inst.config.window_len, inst.config.constraints()
+        reachable = reachable_requests(inst.fleet, inst.requests, now, inst.net, cons)
+        for v, requests in zip(inst.fleet, reachable):
             if hist.scaled_income(v.id) >= hist.mean_scaled():
                 continue
-            actions = feasible_actions(
-                v, inst.requests, inst.config.window_len, inst.net, inst.config.constraints()
-            )
+            actions = feasible_actions(v, requests, now, inst.net, cons)
             if any(a.request_ids() == {r_star.id} for a in actions):
                 worse_off_servers.append(v.id)
         assert worse_off_servers == [j]
