@@ -63,12 +63,15 @@ class DemandProfile:
             )
 
 
-def load_requests(path: str | Path, partition: AreaPartition, net: StreetNetwork) -> list[Request]:
+def load_requests(
+    path: str | Path, partition: AreaPartition, net: StreetNetwork, horizon: float
+) -> list[Request]:
     """Parse a request CSV `pickup,dropoff,arrival[,ignored]` sorted by arrival.
 
     Ids are assigned in file order before sorting, so replayed traces keep
     stable identities regardless of arrival-time ordering in the file.  A
-    request at a location the network lacks is refused at its line.
+    request at a location the network lacks, or arriving outside the run's
+    `[0, horizon)`, is refused at its line.
     """
     out: list[Request] = []
     next_id = 0
@@ -77,6 +80,8 @@ def load_requests(path: str | Path, partition: AreaPartition, net: StreetNetwork
         for loc in (pickup, dropoff):
             if loc not in net:
                 raise ParseError(f"{where}: request {next_id}: location {loc} is not in the network")
+        if not arrival < horizon:
+            raise ParseError(f"{where}: request {next_id}: arrival {arrival} is not before the horizon {horizon}")
         try:
             request = Request(
                 next_id, pickup, dropoff, arrival, group_of(partition, pickup, dropoff)

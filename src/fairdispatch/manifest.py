@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Collection
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ._records import is_finite_number
@@ -105,12 +105,12 @@ _CONFIG = {
     "max_bundle": _integer,
     "seed": _integer,
     "matcher": _text,
-    "incentives_enabled": _boolean,
 }
 _SECTIONS = ("weights", "vfa", "pricing", "network", "partition", "requests", "fleet")
 _WEIGHTS = {"beta": _number, "delta": _number, "passenger_plus": _boolean, "driver_plus": _boolean}
-# `vfa` also takes `path`, the value table read when `kind` is "table".
 _VFA = {"kind": _text, "omega": _number, "bucket_seconds": _number}
+# The `vfa` keys that one kind alone reads, with that kind; `path` is the value table.
+_VFA_KIND_OF = {"omega": "delay", "bucket_seconds": "table", "path": "table"}
 
 
 def read_manifest(path: str | Path) -> dict:
@@ -136,12 +136,13 @@ def horizon_from(doc: dict) -> float:
 
 def _vfa_from(doc: dict, base: Path) -> ValueFunction:
     spec = _object(doc, "vfa", (*_VFA, "path"), {})
-    fields = _fields(spec, _VFA, "vfa")
-    if fields.get("kind") == "table":
-        fields["table"] = load_value_table(_path(spec, "vfa.path", base))
-    elif "path" in spec:
-        raise _fail("vfa.path", "a value table is read only when 'kind' is 'table'")
-    return ValueFunction(**fields)
+    vfa = ValueFunction(**_fields(spec, _VFA, "vfa"))
+    for key, kind in _VFA_KIND_OF.items():
+        if key in spec and vfa.kind != kind:
+            raise _fail(f"vfa.{key}", f"read only when 'kind' is '{kind}'")
+    if vfa.kind == "table":
+        return replace(vfa, table=load_value_table(_path(spec, "vfa.path", base)))
+    return vfa
 
 
 def _source(doc: dict, field: str, generator: str) -> tuple[dict, bool]:
@@ -177,11 +178,14 @@ def network_from(doc: dict, base: Path) -> tuple[StreetNetwork, AreaPartition]:
 def requests_from(
     doc: dict, base: Path, net: StreetNetwork, partition: AreaPartition, horizon: float
 ) -> list[Request]:
+    """The run's requests, each arriving in `[0, horizon)`."""
     spec, from_file = _source(doc, "requests", "profile")
     if from_file:
-        return load_requests(_path(spec, "requests.path", base), partition, net)
+        return load_requests(_path(spec, "requests.path", base), partition, net, horizon)
     keys = ("rates", "horizon", "seed", "step")
     profile = _profile_from(_object(spec, "requests.profile", keys), horizon)
+    if profile.horizon > horizon:
+        raise _fail("requests.profile.horizon", f"{profile.horizon} is past the run's horizon {horizon}")
     return synth_requests(profile, net, partition)
 
 

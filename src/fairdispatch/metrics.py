@@ -154,11 +154,13 @@ def equity_report(history: PassengerHistory | DriverHistory) -> EquityReport:
 
     Driver reports use max-scaled incomes for Gini and variance but report the
     minimum on raw income; passenger reports add the overall service rate.
+    An empty history's report is vacuous: before any demand, equity is perfect
+    and 0/0 service counts as 1; with no drivers, the minimum income is 0.
     """
     if isinstance(history, PassengerHistory):
         groups = history.observed_groups()
         if not groups:
-            raise InputError("no passenger group observed yet")
+            return EquityReport(1.0, 1.0, 0.0, 1.0)
         values = [history.service_rate(g) for g in groups]
         requested, served = history.totals()
         return EquityReport(
@@ -168,7 +170,7 @@ def equity_report(history: PassengerHistory | DriverHistory) -> EquityReport:
             overall_service_rate=served / requested,
         )
     if not history.incomes:
-        raise InputError("no drivers observed yet")
+        return EquityReport(1.0, 0.0, 0.0, None)
     scaled = history.scaled_values()
     return EquityReport(
         f_gini=1.0 - gini(scaled),

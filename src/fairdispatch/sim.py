@@ -68,7 +68,6 @@ class SimConfig:
     weights: ScoreWeights = field(default_factory=ScoreWeights)
     matcher: str = "ilp"
     seed: int = 0
-    incentives_enabled: bool = True
     pricing: dict[int, float] | None = None
 
     def __post_init__(self) -> None:
@@ -129,19 +128,6 @@ class RunResult:
         }
 
 
-def _passenger_report_or_vacuous(hist: PassengerHistory) -> EquityReport:
-    # No demand yet: equity is vacuously perfect and 0/0 service counts as 1.
-    if not hist.observed_groups():
-        return EquityReport(1.0, 1.0, 0.0, 1.0)
-    return equity_report(hist)
-
-
-def _driver_report_or_vacuous(hist: DriverHistory) -> EquityReport:
-    if not hist.incomes:
-        return EquityReport(1.0, 0.0, 0.0, None)
-    return equity_report(hist)
-
-
 def build_window_problem(
     vehicles: list[VehicleState],
     batch: list[Request],
@@ -154,7 +140,9 @@ def build_window_problem(
 ) -> tuple[MatchProblem, dict[int, list]]:
     """Enumerate and score candidate actions for one assignment window."""
     constraints = cfg.constraints()
-    snapshot = fairness_snapshot(hist_p, hist_d, cfg.weights) if cfg.incentives_enabled else None
+    w = cfg.weights
+    # At weights 0/0 total_score is base_score, which needs no snapshot.
+    snapshot = fairness_snapshot(hist_p, hist_d, w) if w.beta or w.delta else None
     actions_by: dict[int, list] = {}
     candidates: dict[int, list[Candidate]] = {}
     reachable = reachable_requests(vehicles, batch, now, net, constraints)
@@ -163,9 +151,7 @@ def build_window_problem(
         rows = []
         for a in acts:
             if snapshot is not None:
-                score = total_score(
-                    v, a, cfg.vfa, snapshot, cfg.weights, now, partition, cfg.pricing
-                )
+                score = total_score(v, a, cfg.vfa, snapshot, w, now, partition, cfg.pricing)
             else:
                 score = base_score(v, a, cfg.vfa, now, partition, cfg.pricing)
             rows.append(Candidate(a.request_ids(), score))
@@ -246,8 +232,8 @@ def run_simulation(
         if trace is not None:
             trace.append({v: tuple(sorted(ids)) for v, ids in matching.assigned.items()})
 
-        p_report = _passenger_report_or_vacuous(hist_p)
-        d_report = _driver_report_or_vacuous(hist_d)
+        p_report = equity_report(hist_p)
+        d_report = equity_report(hist_d)
         rows.append(
             WindowMetrics(
                 window_index=k,
@@ -266,7 +252,7 @@ def run_simulation(
     return RunResult(
         total_requests=total_requests,
         total_served=total_served,
-        service_rate=total_served / total_requests if total_requests else 1.0,
+        service_rate=p_report.overall_service_rate,
         passenger_report=p_report,
         driver_report=d_report,
         window_rows=rows,

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+import fairdispatch.sim as sim_module
 from fairdispatch.network import grid_partition, make_grid
+from fairdispatch.scoring import ScoreWeights, fairness_snapshot, total_score
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +21,32 @@ def grid4_60():
 def halves4():
     # 4x4 grid split into left/right halves
     return grid_partition(4, 4, 4, 2)
+
+
+@pytest.fixture
+def zero_weight_scores_checked(monkeypatch):
+    """Checks every window the run loop builds against the fairness objective at weights 0/0.
+
+    Each candidate's score must equal `total_score` on that window's own
+    fairness snapshot at zero weights, under the plain and the plus variants.
+    Returns the list of checked windows' candidate counts, one entry per window.
+    """
+    checked: list[int] = []
+    build = sim_module.build_window_problem
+
+    def checking(vehicles, batch, now, net, cfg, hist_p, hist_d, partition):
+        problem, actions_by = build(vehicles, batch, now, net, cfg, hist_p, hist_d, partition)
+        for plus in (False, True):
+            w = ScoreWeights(0.0, 0.0, plus, plus)
+            snapshot = fairness_snapshot(hist_p, hist_d, w)
+            for v in vehicles:
+                expected = [
+                    total_score(v, a, cfg.vfa, snapshot, w, now, partition, cfg.pricing)
+                    for a in actions_by[v.id]
+                ]
+                assert [c.score for c in problem.candidates[v.id]] == expected, (now, v.id)
+        checked.append(sum(len(rows) for rows in problem.candidates.values()))
+        return problem, actions_by
+
+    monkeypatch.setattr(sim_module, "build_window_problem", checking)
+    return checked

@@ -67,7 +67,7 @@ def test_criterion_1_ilp_oracle_equivalence():
 # --- criterion 2: zero-weight reduction -------------------------------------
 
 
-def test_criterion_2_zero_weight_reduction():
+def test_criterion_2_zero_weight_reduction(zero_weight_scores_checked):
     rng = random.Random(22)
     for trial in range(20):
         rows = rng.choice([3, 4])
@@ -88,15 +88,14 @@ def test_criterion_2_zero_weight_reduction():
             seed=trial,
             weights=ScoreWeights(0.0, 0.0),
         )
-        with_incentives = run_simulation(
-            cfg, net, part, requests, fleet, record_trace=True
-        )
-        without = run_simulation(
-            replace(cfg, incentives_enabled=False), net, part, requests, fleet, record_trace=True
-        )
-        assert with_incentives.matchings == without.matchings, f"trial {trial}"
-        assert with_incentives.service_rate == without.service_rate
-    report(2, True, "20 configs: matching sequences identical, service rates exactly equal")
+        run_simulation(cfg, net, part, requests, fleet)
+    windows = len(zero_weight_scores_checked)
+    report(
+        2,
+        windows == 20 * 10,
+        f"20 configs, {windows} windows, {sum(zero_weight_scores_checked)} candidates: every "
+        "score equals the total score on its window's snapshot at weights 0/0, plain and plus",
+    )
 
 
 # --- criteria 3 and 4: max-min improvement harnesses ------------------------

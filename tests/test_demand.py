@@ -15,7 +15,7 @@ from fairdispatch.sim import SimConfig, run_simulation
 def test_load_requests_minimal(tmp_path, halves4, grid4_60):
     path = tmp_path / "req.csv"
     path.write_text("0,6,30\n")
-    requests = load_requests(path, halves4, grid4_60)
+    requests = load_requests(path, halves4, grid4_60, 600.0)
     assert len(requests) == 1
     r = requests[0]
     assert (r.pickup, r.dropoff, r.arrival) == (0, 6, 30.0)
@@ -25,7 +25,7 @@ def test_load_requests_minimal(tmp_path, halves4, grid4_60):
 def test_load_requests_sorted_by_arrival(tmp_path, halves4, grid4_60):
     path = tmp_path / "req.csv"
     path.write_text("0,5,120\n1,6,60\n")
-    requests = load_requests(path, halves4, grid4_60)
+    requests = load_requests(path, halves4, grid4_60, 600.0)
     assert [r.arrival for r in requests] == [60.0, 120.0]
     # ids reflect file order, not sorted order
     assert [r.id for r in requests] == [1, 0]
@@ -35,13 +35,13 @@ def test_load_requests_rejects_self_loop(tmp_path, halves4, grid4_60):
     path = tmp_path / "req.csv"
     path.write_text("4,4,10\n")
     with pytest.raises(ParseError, match=":1"):
-        load_requests(path, halves4, grid4_60)
+        load_requests(path, halves4, grid4_60, 600.0)
 
 
 def test_load_requests_tolerates_extra_column(tmp_path, halves4, grid4_60):
     path = tmp_path / "req.csv"
     path.write_text("0,5,30,ignored\n")
-    assert len(load_requests(path, halves4, grid4_60)) == 1
+    assert len(load_requests(path, halves4, grid4_60, 600.0)) == 1
 
 
 def test_request_invariants():

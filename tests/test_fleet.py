@@ -360,6 +360,29 @@ def test_advance_split_equals_combined():
     assert v1.route == v2.route
 
 
+def test_advance_within_the_committed_edge():
+    # dt shorter than the rest of the edge: the vehicle stays on it, and on
+    # integer-second edges a split interval lands exactly where one call does
+    net = make_grid(1, 3, 100.0)
+    batch = [req(1, 2, 1)]
+
+    def mid_edge():
+        v = VehicleState(0, 0, capacity=1)
+        single = next(a for a in feasible(v, batch, 60.0, net, C) if a.request_ids() == {1})
+        advance(v, single, 40.0, net)
+        assert (v.location, v.next_node, v.edge_progress) == (0, 1, 40.0)
+        return v
+
+    split, whole = mid_edge(), mid_edge()
+    assert advance(split, null_action(split), 25.0, net) == []
+    assert (split.location, split.next_node, split.edge_progress) == (0, 1, 65.0)
+    assert advance(split, null_action(split), 30.0, net) == []
+    assert advance(whole, null_action(whole), 55.0, net) == []
+    assert (whole.location, whole.next_node, whole.edge_progress) == (0, 1, 95.0)
+    assert (split.location, split.next_node, split.edge_progress) == (0, 1, 95.0)
+    assert split.route == whole.route and split.onboard == whole.onboard == set()
+
+
 def test_advance_conserves_requests():
     rng = random.Random(23)
     net = make_grid(3, 3, 60.0)

@@ -10,6 +10,7 @@ import pytest
 
 import fairdispatch.manifest
 import fairdispatch.network
+import fairdispatch.sim
 from fairdispatch.cli import main
 from fairdispatch.demand import load_requests
 from fairdispatch.errors import ConfigError, ContractError, ParseError
@@ -92,7 +93,7 @@ CSV_LOADERS = {
     "partition": (load_partition, "0,0", lambda part: len(part.area_of), None),
     "fleet": (lambda path: load_fleet(path, make_grid(2, 2, 60.0)), "0,1,2", len, "0,1,0"),
     "requests": (
-        lambda path: load_requests(path, grid_partition(2, 2, 1, 2), make_grid(2, 2, 60.0)),
+        lambda path: load_requests(path, grid_partition(2, 2, 1, 2), make_grid(2, 2, 60.0), 60.0),
         "0,1,30.5",
         len,
         "1,1,30.5",
@@ -172,7 +173,7 @@ MALFORMED = {
         {"weights": {"beta": 1.0, "passenger_plus": "false"}}, "weights.passenger_plus", False
     ),
     "string driver_plus": ({"weights": {"driver_plus": "no"}}, "weights.driver_plus", False),
-    "string incentives_enabled": ({"incentives_enabled": "false"}, "incentives_enabled", False),
+    "unknown incentives_enabled": ({"incentives_enabled": False}, "incentives_enabled", True),
     "number as network grid": ({"network": {"grid": 5}}, "network.grid", True),
     "number as partition grid": ({"partition": {"grid": 3}}, "partition.grid", True),
     "number as network path": ({"network": {"path": 5}}, "network.path", True),
@@ -233,6 +234,18 @@ MALFORMED = {
         {"vfa": {"kind": "delay", "path": "nothing.csv"}}, "vfa.path", False
     ),
     "vfa path without kind": ({"vfa": {"path": "nothing.csv"}}, "vfa.path", False),
+    # so are omega and bucket_seconds, which only "delay" and "table" read
+    "vfa omega with kind zero": ({"vfa": {"kind": "zero", "omega": 5}}, "vfa.omega", False),
+    "vfa omega without kind": ({"vfa": {"omega": 5}}, "vfa.omega", False),
+    "vfa bucket_seconds with kind delay": (
+        {"vfa": {"kind": "delay", "bucket_seconds": 60}}, "vfa.bucket_seconds", False
+    ),
+    # a profile must not draw requests after the run's horizon of 300
+    "profile horizon past the run's": (
+        {"requests": {"profile": {"rates": [[0, 0, 0.6]], "horizon": 1200}}},
+        "requests.profile.horizon",
+        True,
+    ),
 }
 
 
@@ -290,6 +303,10 @@ REFUSED = {
          "requests": {"path": "req.csv"}, "fleet": {"path": "fleet.csv"}},
         "req.csv:2: request 1: location 7 is not in the network",
     ),
+    "request at the horizon": (
+        {"requests": {"path": "late-req.csv"}},
+        "late-req.csv:2: request 1: arrival 300.0 is not before the horizon 300.0",
+    ),
     "table value function on a partition gap": (
         {"network": {"path": "net.csv"}, "partition": {"path": "gap.csv"},
          "requests": {"path": "gap-req.csv"}, "fleet": {"path": "fleet.csv"},
@@ -317,6 +334,7 @@ def test_disagreeing_or_oversized_scenario_exits_2(tmp_path, capsys, case):
     (tmp_path / "net.csv").write_text("0,1,60\n1,0,60\n1,2,60\n2,1,60\n")
     (tmp_path / "part.csv").write_text("0,0\n1,0\n2,1\n7,1\n")
     (tmp_path / "req.csv").write_text("0,1,5\n0,7,10\n")
+    (tmp_path / "late-req.csv").write_text("0,1,5\n0,1,300\n")
     (tmp_path / "gap.csv").write_text("0,0\n1,0\n")
     (tmp_path / "skip.csv").write_text("0,0\n1,2\n")
     (tmp_path / "negative.csv").write_text("0,0\n1,-1\n")
@@ -395,11 +413,17 @@ def test_run_invalid_manifest_exits_2(tmp_path):
     assert main(["run", "--manifest", str(missing), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_run_runtime_failure_exits_3(tmp_path):
-    # loads fine, but a request arrives beyond the horizon
-    (tmp_path / "req.csv").write_text("0,1,9999\n")
-    manifest = write_manifest(tmp_path / "m.json", requests={"path": "req.csv"})
-    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+def test_run_runtime_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a failure outside the matcher stops the run and writes nothing, not even a dump
+    def broken(*args, **kwargs):
+        raise ContractError("vehicle 0: plan exceeds capacity")
+
+    monkeypatch.setattr(fairdispatch.sim, "advance", broken)
+    manifest = write_manifest(tmp_path / "m.json")
+    out = tmp_path / "o"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: simulation failed: vehicle 0: plan exceeds capacity\n"
+    assert list(out.iterdir()) == []
 
 
 def test_run_exits_3_when_highs_fails(tmp_path, monkeypatch, capsys):

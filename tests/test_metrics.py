@@ -11,6 +11,7 @@ from fairdispatch.errors import ContractError, InputError
 from fairdispatch.matcher import Matching
 from fairdispatch.metrics import (
     DriverHistory,
+    EquityReport,
     PassengerHistory,
     WindowMetrics,
     equity_report,
@@ -181,9 +182,11 @@ def test_equity_report_driver_min_is_raw():
     assert report.min_value == 2.0
 
 
-def test_equity_report_requires_observations():
-    with pytest.raises(InputError):
-        equity_report(PassengerHistory.empty())
+def test_equity_report_of_empty_histories_is_vacuous():
+    # before any demand equity is perfect and 0/0 service counts as 1
+    assert equity_report(PassengerHistory.empty()) == EquityReport(1.0, 1.0, 0.0, 1.0)
+    assert equity_report(PassengerHistory({G00: 0}, {})) == EquityReport(1.0, 1.0, 0.0, 1.0)
+    assert equity_report(DriverHistory({})) == EquityReport(1.0, 0.0, 0.0, None)
 
 
 def test_metrics_csv_golden(tmp_path):

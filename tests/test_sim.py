@@ -79,15 +79,12 @@ def test_identical_runs_identical_results():
     assert a.service_rate == b.service_rate
 
 
-def test_zero_weights_match_disabled_incentive_path():
+def test_zero_weight_scores_equal_total_score_on_each_window_snapshot(zero_weight_scores_checked):
     net, part, requests, fleet = small_world(seed=11)
     cfg = small_cfg(weights=ScoreWeights(0.0, 0.0))
-    enabled = run_simulation(cfg, net, part, requests, fleet, record_trace=True)
-    disabled = run_simulation(
-        replace(cfg, incentives_enabled=False), net, part, requests, fleet, record_trace=True
-    )
-    assert enabled.matchings == disabled.matchings
-    assert enabled.service_rate == disabled.service_rate
+    result = run_simulation(cfg, net, part, requests, fleet)
+    assert len(zero_weight_scores_checked) == cfg.n_windows
+    assert result.total_served > 0  # the histories, and so the snapshots, move
 
 
 def test_request_conservation_and_income_totals():
@@ -393,6 +390,65 @@ def test_driver_theorem_check_passes():
         outcome = check_driver_theorem(build_driver_min_unfair_instance(seed))
         assert outcome.unfair_at_zero, outcome.detail
         assert outcome.improved
+
+
+# Each precondition of the two theorem checks, broken on a seed-0 instance:
+# the side, how the instance is broken, and the detail the check must report.
+BROKEN_PRECONDITIONS = {
+    "passenger worst group not the minimum": (
+        "passenger",
+        lambda inst: replace(inst, worst=next(r.group for r in inst.requests if r.group != inst.worst)),
+        "expected group is not the minimum",
+    ),
+    "passenger worst request alone": (
+        "passenger",
+        lambda inst: replace(inst, requests=[r for r in inst.requests if r.group == inst.worst]),
+        "zero-weight matching is not passenger-min-unfair",
+    ),
+    "driver incomes equal": (
+        "driver",
+        lambda inst: replace(inst, driver_history=DriverHistory.zeroed([v.id for v in inst.fleet])),
+        "expected driver is not below average",
+    ),
+    "driver without requests": (
+        "driver", lambda inst: replace(inst, requests=[]), "driver j has no feasible request"
+    ),
+    "driver requests priced alike": (
+        "driver",
+        lambda inst: replace(inst, config=replace(inst.config, pricing={})),
+        "driver j's preferred request is ambiguous",
+    ),
+    "driver j alone": (
+        "driver",
+        lambda inst: replace(inst, fleet=inst.fleet[:1]),
+        "zero-weight matching is not driver-min-unfair",
+    ),
+    # driver 1 reaches only the preferred request; a rich driver outside the
+    # fleet keeps both 0 and 1 below the mean
+    "driver 1 as poor as j": (
+        "driver",
+        lambda inst: replace(
+            inst,
+            driver_history=DriverHistory(
+                {**inst.driver_history.incomes, 1: inst.driver_history.incomes[0], 99: 100.0}
+            ),
+        ),
+        "another worse-off driver can serve the preferred request",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_PRECONDITIONS))
+def test_theorem_check_reports_a_broken_precondition(case):
+    side, breaks, detail = BROKEN_PRECONDITIONS[case]
+    if side == "passenger":
+        outcome = check_passenger_theorem(breaks(build_passenger_min_unfair_instance(0)))
+    else:
+        outcome = check_driver_theorem(breaks(build_driver_min_unfair_instance(0)))
+    assert outcome.unfair_at_zero is False
+    assert outcome.ladder_metrics == {}
+    assert outcome.detail == detail
+    assert not outcome.passed
 
 
 def test_theorem_ladder_is_the_documented_one():
