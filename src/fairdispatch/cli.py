@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success; 2 invalid manifest or flags; 3 runtime failure (`run`
-also writes the window the matcher failed on to failed_window_<k>.json);
-4 output files already present without --force; 5 theorem-check failure.
+and `sweep` also write the window the matcher failed on to
+failed_window_<k>.json); 4 output files already present without --force;
+5 theorem-check failure.
 Every output file is written to a temp name and atomically renamed.
 """
 
@@ -93,6 +94,14 @@ def _guard_outputs(out: Path, names: list[str], force: bool) -> int | None:
     return None
 
 
+def _failed(exc: FairDispatchError, out: Path, what: str) -> int:
+    """Report a failed run or sweep, dumping the window the matcher failed on; exit 3."""
+    if isinstance(exc, WindowSolveError):  # a replayable dump of the failed window
+        _atomic_write(out / f"failed_window_{exc.window}.json", problem_to_json(exc.problem) + "\n")
+    print(f"error: {what} failed: {exc}", file=sys.stderr)
+    return 3
+
+
 def _summary_text(result: RunResult) -> str:
     p = result.passenger_report
     d = result.driver_report
@@ -117,10 +126,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             scenario.config, scenario.net, scenario.partition, scenario.requests, scenario.fleet
         )
     except FairDispatchError as exc:
-        if isinstance(exc, WindowSolveError):  # a replayable dump of the failed window
-            _atomic_write(out / f"failed_window_{exc.window}.json", problem_to_json(exc.problem) + "\n")
-        print(f"error: simulation failed: {exc}", file=sys.stderr)
-        return 3
+        return _failed(exc, out, "simulation")
     tmp = out / "metrics.csv.tmp"
     write_metrics_csv(result.window_rows, tmp)
     os.replace(tmp, out / "metrics.csv")
@@ -194,8 +200,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             jobs=args.jobs,
         )
     except FairDispatchError as exc:
-        print(f"error: sweep failed: {exc}", file=sys.stderr)
-        return 3
+        return _failed(exc, out, "sweep")
     _atomic_write(out / "sweep.csv", _sweep_csv(rows))
     summary = _frontier_summary(rows)
     _atomic_write(out / "summary.txt", summary)

@@ -200,6 +200,8 @@ def _profile_from(spec: dict, default_horizon: float) -> DemandProfile:
         group = GroupId(
             _integer(fields, f"{where}.origin_area"), _integer(fields, f"{where}.dest_area")
         )
+        if group in rates:
+            raise _fail(where, f"repeats group {tuple(group)}")
         rates[group] = _number(fields, f"{where}.rate")
     return DemandProfile(
         rates=rates,

@@ -2,17 +2,19 @@
 
 Passenger-side fairness tracks cumulative per-group service rates; driver-side
 fairness tracks cumulative incomes scaled by the current maximum income.
-Both histories are updated functionally once per assignment window, so the
-object held by the scorer during a window is an immutable snapshot.
+Both histories are updated functionally once per assignment window and never
+change, so each derives its side's values on first read and keeps them: the
+window's equity report and the next window's fairness snapshot share them.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from functools import cached_property
 from math import fsum
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ContractError, InputError
 from .network import GroupId
@@ -42,18 +44,19 @@ class PassengerHistory:
     def empty(cls) -> "PassengerHistory":
         return cls({}, {})
 
-    def observed_groups(self) -> tuple[GroupId, ...]:
-        return tuple(sorted(g for g, n in self.requested.items() if n > 0))
+    @cached_property
+    def rates(self) -> Mapping[GroupId, float]:
+        """Service rate of each group with demand, in group order."""
+        groups = sorted(g for g, n in self.requested.items() if n > 0)
+        return {g: self.served.get(g, 0) / self.requested[g] for g in groups}
 
-    def service_rate(self, group: GroupId) -> float:
-        return self.served.get(group, 0) / self.requested[group]
-
+    @cached_property
     def mean_rate(self) -> float:
-        """Group-uniform mean of observed service rates; 0.0 before any demand."""
-        groups = self.observed_groups()
-        if not groups:
-            return 0.0
-        return fsum(self.service_rate(g) for g in groups) / len(groups)
+        """Group-uniform mean of the rates; 0.0 before any demand."""
+        return fsum(self.rates.values()) / len(self.rates) if self.rates else 0.0
+
+    def observed_groups(self) -> tuple[GroupId, ...]:
+        return tuple(self.rates)
 
     def totals(self) -> tuple[int, int]:
         return sum(self.requested.values()), sum(self.served.values())
@@ -74,22 +77,16 @@ class DriverHistory:
     def zeroed(cls, driver_ids: Sequence[int]) -> "DriverHistory":
         return cls({driver: 0.0 for driver in driver_ids})
 
-    def drivers(self) -> tuple[int, ...]:
-        return tuple(sorted(self.incomes))
+    @cached_property
+    def scaled(self) -> Mapping[int, float]:
+        """Each driver's income over the top one, in driver order; 0.0 while all are 0."""
+        top = max(self.incomes.values(), default=0.0)
+        return {d: self.incomes[d] / top if top > 0 else 0.0 for d in sorted(self.incomes)}
 
-    def scaled_income(self, driver: int) -> float:
-        top = max(self.incomes.values())
-        return self.incomes[driver] / top if top > 0 else 0.0
-
-    def scaled_values(self) -> list[float]:
-        top = max(self.incomes.values()) if self.incomes else 0.0
-        if top <= 0:
-            return [0.0 for _ in self.drivers()]
-        return [self.incomes[d] / top for d in self.drivers()]
-
+    @cached_property
     def mean_scaled(self) -> float:
-        values = self.scaled_values()
-        return fsum(values) / len(values) if values else 0.0
+        """Driver-uniform mean of the scaled incomes; 0.0 with no drivers."""
+        return fsum(self.scaled.values()) / len(self.scaled) if self.scaled else 0.0
 
 
 def update_passenger_history(
@@ -158,10 +155,9 @@ def equity_report(history: PassengerHistory | DriverHistory) -> EquityReport:
     and 0/0 service counts as 1; with no drivers, the minimum income is 0.
     """
     if isinstance(history, PassengerHistory):
-        groups = history.observed_groups()
-        if not groups:
+        values = list(history.rates.values())
+        if not values:
             return EquityReport(1.0, 1.0, 0.0, 1.0)
-        values = [history.service_rate(g) for g in groups]
         requested, served = history.totals()
         return EquityReport(
             f_gini=1.0 - gini(values),
@@ -171,10 +167,10 @@ def equity_report(history: PassengerHistory | DriverHistory) -> EquityReport:
         )
     if not history.incomes:
         return EquityReport(1.0, 0.0, 0.0, None)
-    scaled = history.scaled_values()
+    scaled = list(history.scaled.values())
     return EquityReport(
         f_gini=1.0 - gini(scaled),
-        min_value=min(history.incomes[d] for d in history.drivers()),
+        min_value=min(history.incomes.values()),
         variance=_population_variance(scaled),
         overall_service_rate=None,
     )

@@ -10,7 +10,9 @@ are never penalised.
 
 The histories do not change within a window, so both gaps are computed once
 per window into a `FairnessSnapshot` (clipped there for the plus variants)
-and every action's incentives are dictionary lookups into it.
+and every action's incentives are dictionary lookups into it.  The snapshot
+reads each history's kept view: `rates` and `mean_rate`, `scaled` and
+`mean_scaled`.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ class ValueFunction:
             raise ConfigError(f"unknown value function kind {self.kind!r}")
         if not self.bucket_seconds > 0:
             raise ConfigError("bucket_seconds must be positive")
+        if not 0 <= self.omega < math.inf:
+            raise ConfigError(f"omega must be finite and nonnegative, got {self.omega}")
 
 
 def immediate_reward(a: Action, pricing: Mapping[int, float] | None = None) -> float:
@@ -112,8 +116,8 @@ def base_score(
 class FairnessSnapshot:
     """Fairness gaps frozen at window start, one per observed group and driver.
 
-    `group_gap[g]` is `mean_rate - service_rate(g)` and `driver_gap[d]` is
-    `mean_scaled - scaled_income(d)`, each clipped at zero for its plus
+    `group_gap[g]` is `mean_rate - rates[g]` and `driver_gap[d]` is
+    `mean_scaled - scaled[d]`, each clipped at zero for its plus
     variant.  A group with no demand yet has gap 0.0, the gap between the
     mean and itself.
     """
@@ -130,15 +134,11 @@ def fairness_snapshot(
     hist_p: PassengerHistory, hist_d: DriverHistory, w: ScoreWeights
 ) -> FairnessSnapshot:
     """Both histories' gaps for one window, clipped as `w`'s variants ask."""
-    mean_rate = hist_p.mean_rate()
     group_gap = {
-        g: _clipped(mean_rate - hist_p.service_rate(g), w.passenger_plus)
-        for g in hist_p.observed_groups()
+        g: _clipped(hist_p.mean_rate - rate, w.passenger_plus) for g, rate in hist_p.rates.items()
     }
-    mean_scaled = hist_d.mean_scaled()
     driver_gap = {
-        d: _clipped(mean_scaled - scaled, w.driver_plus)
-        for d, scaled in zip(hist_d.drivers(), hist_d.scaled_values())
+        d: _clipped(hist_d.mean_scaled - scaled, w.driver_plus) for d, scaled in hist_d.scaled.items()
     }
     return FairnessSnapshot(group_gap, driver_gap)
 

@@ -445,10 +445,8 @@ def build_passenger_min_unfair_instance(seed: int) -> TheoremInstance:
         requested[extra] = rng.randint(8, 20)
         served[extra] = round(requested[extra] * rng.uniform(0.5, 0.7))
     history = PassengerHistory(requested, served)
-    others_min = min(
-        history.service_rate(g) for g in history.observed_groups() if g != bad_group
-    )
-    if others_min <= history.service_rate(bad_group):
+    others_min = min(rate for g, rate in history.rates.items() if g != bad_group)
+    if others_min <= history.rates[bad_group]:
         # Rounding collapsed the gap between the worst group and the rest.
         served[bad_group] = 0
         history = PassengerHistory(requested, served)
@@ -562,7 +560,7 @@ def check_passenger_theorem(
     worst_requests = {r.id for r in inst.requests if r.group == inst.worst}
 
     def unfairness(problem0: MatchProblem, matching0: Matching) -> str:
-        rates = {g: hist.service_rate(g) for g in hist.observed_groups()}
+        rates = hist.rates
         if min(rates, key=lambda g: (rates[g], g)) != inst.worst:
             return "expected group is not the minimum"
         unserved_worst = worst_requests - matching0.served_request_ids()
@@ -576,11 +574,11 @@ def check_passenger_theorem(
             return "zero-weight matching is not passenger-min-unfair"
         return ""
 
-    def service_rate(hist_p: PassengerHistory, _) -> float:
-        return hist_p.service_rate(inst.worst)
+    def worst_rate(hist_p: PassengerHistory, _) -> float:
+        return hist_p.rates[inst.worst]
 
     return _check_theorem(
-        inst, ladder, lambda beta: ScoreWeights(beta=beta, passenger_plus=plus), unfairness, service_rate
+        inst, ladder, lambda beta: ScoreWeights(beta=beta, passenger_plus=plus), unfairness, worst_rate
     )
 
 
@@ -592,13 +590,12 @@ def check_driver_theorem(
     """Verify driver-min-unfairness at weight 0, then sweep the ladder."""
     hist = inst.driver_history
     j = inst.worst
-    mean = hist.mean_scaled()
 
     def reward_of(rid: int) -> float:
         return inst.config.pricing.get(rid, 1.0)
 
     def unfairness(problem0: MatchProblem, matching0: Matching) -> str:
-        if not hist.scaled_income(j) < mean:
+        if not hist.scaled[j] < hist.mean_scaled:
             return "expected driver is not below average"
         j_feasible = sorted(_feasible_ids(problem0, j))
         if not j_feasible:
@@ -612,15 +609,15 @@ def check_driver_theorem(
         if not assigned_j or assigned_j == frozenset((r_star,)):
             return "zero-weight matching is not driver-min-unfair"
         if any(
-            v.id != j and hist.scaled_income(v.id) < mean and r_star in _feasible_ids(problem0, v.id)
+            v.id != j and hist.scaled[v.id] < hist.mean_scaled and r_star in _feasible_ids(problem0, v.id)
             for v in inst.fleet
         ):
             return "another worse-off driver can serve the preferred request"
         return ""
 
-    def scaled_income(_, hist_d: DriverHistory) -> float:
-        return hist_d.scaled_income(j)
+    def worst_scaled(_, hist_d: DriverHistory) -> float:
+        return hist_d.scaled[j]
 
     return _check_theorem(
-        inst, ladder, lambda delta: ScoreWeights(delta=delta, driver_plus=plus), unfairness, scaled_income
+        inst, ladder, lambda delta: ScoreWeights(delta=delta, driver_plus=plus), unfairness, worst_scaled
     )

@@ -240,6 +240,10 @@ MALFORMED = {
     "vfa bucket_seconds with kind delay": (
         {"vfa": {"kind": "delay", "bucket_seconds": 60}}, "vfa.bucket_seconds", False
     ),
+    # a repeated group would silently drop every rate but its last
+    "profile repeats a group": (
+        {"requests": {"profile": {"rates": [[0, 0, 1], [0, 0, 0]]}}}, "requests.profile.rates[1]", True
+    ),
     # a profile must not draw requests after the run's horizon of 300
     "profile horizon past the run's": (
         {"requests": {"profile": {"rates": [[0, 0, 0.6]], "horizon": 1200}}},
@@ -318,6 +322,10 @@ REFUSED = {
     "random fleet capacity": ({"fleet": {"random": {"size": 2, "capacity": 7}}}, "capacity"),
     "fleet file capacity": ({"fleet": {"path": "wide-fleet.csv"}}, "wide-fleet.csv:1: vehicle 0: capacity"),
     "max_bundle": ({"max_bundle": 5}, "max_bundle"),
+    # a negative omega would reward added travel time instead of charging it
+    "negative vfa omega": (
+        {"vfa": {"kind": "delay", "omega": -5}}, "omega must be finite and nonnegative, got -5.0"
+    ),
     "partition file with an area gap": (
         {"network": {"path": "net.csv"}, "partition": {"path": "skip.csv"}},
         "skip.csv: partition declares 3 areas but maps 2",
@@ -426,15 +434,18 @@ def test_run_runtime_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_run_exits_3_when_highs_fails(tmp_path, monkeypatch, capsys):
-    # desk day 32003 (demand seed 32003, fleet seed 33003): window 3 holds a
-    # 14-vehicle component that exceeds the exact search's budget
+def highs_failure_manifest(tmp_path: Path, monkeypatch) -> Path:
+    """Desk day 32003 at beta = delta = 20 plus, with every HiGHS solve failing.
+
+    Demand seed 32003 and fleet seed 33003: window 3 holds a 14-vehicle
+    component that exceeds the exact search's budget, so HiGHS is asked.
+    """
     import scipy.optimize
 
     failed = SimpleNamespace(status=4, message="numerical difficulties", x=None)
     monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
     monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: failed)
-    manifest = write_manifest(
+    return write_manifest(
         tmp_path / "m.json",
         window_len=60,
         horizon=240,
@@ -446,16 +457,33 @@ def test_run_exits_3_when_highs_fails(tmp_path, monkeypatch, capsys):
         requests={"profile": {"rates": [[0, 3, 2.7777777777777777], [2, 1, 0.6944444444444444]], "seed": 32003}},
         fleet={"random": {"size": 20, "capacity": 2, "seed": 33003}},
     )
-    out = tmp_path / "o"
-    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
+
+
+def assert_one_replayable_dump(out: Path, err: str, what: str) -> None:
+    """The failed window 3 is dumped once, and the dump replays to the reported error."""
     assert "HiGHS found no optimum for the component of vehicles" in err
-    # The failed window is dumped once, and the dump replays to the same error.
     dumps = list(out.glob("failed_window_*.json"))
     assert [dump.name for dump in dumps] == ["failed_window_3.json"]
     with pytest.raises(ContractError) as replay:
         solve_ilp(problem_from_json(dumps[0]))
-    assert err == f"error: simulation failed: {replay.value}\n"
+    assert err == f"error: {what} failed: {replay.value}\n"
+
+
+def test_run_exits_3_when_highs_fails(tmp_path, monkeypatch, capsys):
+    manifest = highs_failure_manifest(tmp_path, monkeypatch)
+    out = tmp_path / "o"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 3
+    assert_one_replayable_dump(out, capsys.readouterr().err, "simulation")
+
+
+def test_sweep_exits_3_when_highs_fails(tmp_path, monkeypatch, capsys):
+    # the sweep's one grid point is the run's weights, so it fails on the same window
+    manifest = highs_failure_manifest(tmp_path, monkeypatch)
+    out = tmp_path / "o"
+    command = ["sweep", "--manifest", str(manifest), "--out", str(out)]
+    assert main([*command, "--beta", "20", "--delta", "20", "--variant", "si-plus"]) == 3
+    assert_one_replayable_dump(out, capsys.readouterr().err, "sweep")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_degenerate_matches_run(tmp_path):

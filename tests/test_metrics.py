@@ -79,7 +79,7 @@ def test_passenger_history_update_counts():
     hist = PassengerHistory.empty()
     batch = [Request(0, 0, 1, 0.0, G00), Request(1, 0, 1, 0.0, G00)]
     hist = update_passenger_history(hist, batch, matched({7: frozenset({0})}))
-    assert hist.service_rate(G00) == 0.5
+    assert hist.rates == {G00: 0.5}
     assert hist.observed_groups() == (G00,)
 
 
@@ -92,7 +92,7 @@ def test_passenger_history_empty_batch_noop():
 
 def test_passenger_history_mean():
     hist = PassengerHistory({G00: 10, G01: 10}, {G00: 4, G01: 8})
-    assert hist.mean_rate() == pytest.approx(0.6)
+    assert hist.mean_rate == pytest.approx(0.6)
 
 
 def test_passenger_history_served_outside_batch_rejected():
@@ -128,16 +128,16 @@ def test_passenger_mean_between_min_and_max():
         hist = PassengerHistory(
             dict(groups), {g: rng.randint(0, n) for g, n in groups.items()}
         )
-        rates = [hist.service_rate(g) for g in hist.observed_groups()]
-        assert min(rates) <= hist.mean_rate() <= max(rates)
+        rates = hist.rates.values()
+        assert min(rates) <= hist.mean_rate <= max(rates)
 
 
 def test_driver_history_updates():
     hist = DriverHistory.zeroed([0, 1])
     hist = update_driver_history(hist, {0: 0.0, 1: 2.0})
     assert hist.incomes == {0: 0.0, 1: 2.0}
-    assert hist.scaled_values() == [0.0, 1.0]
-    assert hist.mean_scaled() == 0.5
+    assert hist.scaled == {0: 0.0, 1: 1.0}
+    assert hist.mean_scaled == 0.5
 
 
 def test_driver_history_all_null_noop():
@@ -148,8 +148,19 @@ def test_driver_history_all_null_noop():
 
 def test_driver_history_all_zero():
     hist = DriverHistory.zeroed([0, 1, 2])
-    assert hist.scaled_values() == [0.0, 0.0, 0.0]
-    assert hist.mean_scaled() == 0.0
+    assert hist.scaled == {0: 0.0, 1: 0.0, 2: 0.0}
+    assert hist.mean_scaled == 0.0
+
+
+def test_history_views_are_in_key_order_and_kept():
+    hist = PassengerHistory({G01: 4, G00: 2, GroupId(1, 1): 0}, {G01: 1, G00: 2})
+    assert list(hist.rates.items()) == [(G00, 1.0), (G01, 0.25)]
+    assert hist.observed_groups() == (G00, G01)
+    assert hist.rates is hist.rates
+    drivers = DriverHistory({2: 3.0, 0: 6.0})
+    assert list(drivers.scaled.items()) == [(0, 1.0), (2, 0.5)]
+    assert drivers.scaled is drivers.scaled
+    assert drivers.mean_scaled == 0.75
 
 
 def test_driver_history_rejects_negative_income():

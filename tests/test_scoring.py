@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -96,6 +97,11 @@ def test_table_vfa_requires_partition():
 def test_value_function_validation():
     with pytest.raises(ConfigError):
         ValueFunction(kind="neural")
+    # a negative omega would reward added travel time instead of charging it
+    for omega in (-5.0, -1e-300, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="omega must be finite and nonnegative"):
+            ValueFunction(kind="delay", omega=omega)
+    assert ValueFunction(kind="delay", omega=0.0).omega == 0.0
 
 
 # rates: low 0.2, high 0.6; mean 0.4
@@ -126,7 +132,7 @@ def test_passenger_incentive_plus_dominates():
         plain = passenger_incentive(a, snap(hist))
         clipped = passenger_incentive(a, snap(hist, passenger_plus=True))
         assert clipped >= plain
-        if all(hist.service_rate(r.group) <= hist.mean_rate() for r in a.requests):
+        if all(hist.rates[r.group] <= hist.mean_rate for r in a.requests):
             assert clipped == plain
 
 
@@ -142,7 +148,7 @@ def test_worst_group_maximises_single_request_incentive():
         hist = PassengerHistory(
             dict(groups), {g: rng.randint(0, n) for g, n in groups.items()}
         )
-        rates = {g: hist.service_rate(g) for g in hist.observed_groups()}
+        rates = hist.rates
         worst = min(rates, key=lambda g: (rates[g], g))
         gaps = snap(hist)
         scores = {g: passenger_incentive(action_for(req(1, g)), gaps) for g in rates}
@@ -245,19 +251,20 @@ def test_argmax_invariance_under_value_and_beta_scaling():
 
 # --- snapshot scoring against the history-based formulas --------------------
 #
-# The references below recompute the fairness gaps from the histories for
-# every action, the way scores were computed before the per-window snapshot.
-# Snapshot scores must equal them exactly, not approximately: a change in the
-# last bit of a score can change the exact matcher's tie-break.
+# The references below recompute the fairness gaps for every action from the
+# histories' raw counts and incomes alone, not from the views the snapshot
+# reads, so the comparison is not the code against itself.  Snapshot scores
+# must equal them exactly, not approximately: a change in the last bit of a
+# score can change the exact matcher's tie-break.
 
 
 def ref_passenger_incentive(a: Action, hist: PassengerHistory, plus: bool) -> float:
-    mean = hist.mean_rate()
+    rates = {g: hist.served.get(g, 0) / n for g, n in hist.requested.items() if n > 0}
+    mean = math.fsum(rates.values()) / len(rates) if rates else 0.0
     total = 0.0
     for r in a.requests:
         # a group with no demand yet falls back to the mean: gap 0
-        rate = hist.service_rate(r.group) if hist.requested.get(r.group, 0) > 0 else mean
-        gap = mean - rate
+        gap = mean - rates.get(r.group, mean)
         if plus and gap < 0:
             gap = 0.0
         total += gap
@@ -265,7 +272,9 @@ def ref_passenger_incentive(a: Action, hist: PassengerHistory, plus: bool) -> fl
 
 
 def ref_driver_incentive(v, a, hist: DriverHistory, plus: bool, pricing=None) -> float:
-    gap = hist.mean_scaled() - hist.scaled_income(v.id)
+    top = max(hist.incomes.values())
+    scaled = {d: income / top if top > 0 else 0.0 for d, income in hist.incomes.items()}
+    gap = math.fsum(scaled.values()) / len(scaled) - scaled[v.id]
     if plus and gap < 0:
         gap = 0.0
     return gap * immediate_reward(a, pricing)

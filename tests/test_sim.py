@@ -342,7 +342,7 @@ def test_passenger_instance_structure():
         assert len(inst.fleet) >= 2
         assert len(inst.requests) >= 2
         hist = inst.passenger_history
-        rates = {g: hist.service_rate(g) for g in hist.observed_groups()}
+        rates = hist.rates
         assert min(rates, key=lambda g: (rates[g], g)) == inst.worst
         # the worst group's request is feasible for some vehicle
         worst = [r for r in inst.requests if r.group == inst.worst]
@@ -370,14 +370,14 @@ def test_driver_instance_structure():
         inst = build_driver_min_unfair_instance(seed)
         hist = inst.driver_history
         j = inst.worst
-        assert hist.scaled_income(j) < hist.mean_scaled()
+        assert hist.scaled[j] < hist.mean_scaled
         # exactly one worse-off driver can feasibly serve the preferred request
         r_star = max(inst.requests, key=lambda r: inst.config.pricing.get(r.id, 1.0))
         worse_off_servers = []
         now, cons = inst.config.window_len, inst.config.constraints()
         reachable = reachable_requests(inst.fleet, inst.requests, now, inst.net, cons)
         for v, requests in zip(inst.fleet, reachable):
-            if hist.scaled_income(v.id) >= hist.mean_scaled():
+            if hist.scaled[v.id] >= hist.mean_scaled:
                 continue
             actions = feasible_actions(v, requests, now, inst.net, cons)
             if any(a.request_ids() == {r_star.id} for a in actions):
