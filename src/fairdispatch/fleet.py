@@ -14,6 +14,13 @@ realisation of its request set.  The search keeps the first fastest order
 it finds with the pickup times along it, so a plan's new dropoff deadlines
 come from the search, not from a second walk of the order.
 
+One-request plans on an empty route (one order) or on a route of one
+carried dropoff (three orders) are decided without the search, inside
+`reachable_requests`'s pass over its hits, with the search's own float
+expressions, prunes and tie-break, so they equal its plans to the bit.  The
+search runs only for bundles of two or more and for routes of two or more
+stops.
+
 That search is factorial in the number of stops, so capacity and bundle
 size have ceilings (MAX_CAPACITY, MAX_BUNDLE), and so does the fleet
 (MAX_FLEET), since every vehicle is enumerated in every window.
@@ -21,10 +28,11 @@ size have ceilings (MAX_CAPACITY, MAX_BUNDLE), and so does the fleet
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -252,73 +260,184 @@ class _PlanSearch:
                     self._extend(here, t2, count - 1, after, pickup_times, order + [token])
 
 
+class Reachable(NamedTuple):
+    """One vehicle's entry of `reachable_requests`.
+
+    `requests` holds the requests it may serve, by ascending id.  On a route
+    of at most one carried dropoff, `singles` holds their one-request
+    actions, decided without the plan search; it is None on longer routes,
+    whose `requests` are every pickup reached in time.  Every vehicle that
+    reaches no request shares the entry `((), ())`.
+    """
+
+    requests: Sequence[Request]
+    singles: Sequence[Action] | None
+
+
+# Shared by every vehicle that reaches no request, so immutable.
+_NOTHING_REACHED = Reachable((), ())
+
+
 def reachable_requests(
     vehicles: Sequence[VehicleState],
     batch: Sequence[Request],
     now: float,
     net: StreetNetwork,
     constraints: RideConstraints,
-) -> list[list[Request]]:
+) -> list[Reachable]:
     """For each vehicle, the requests whose pickup it reaches in time, by ascending id.
 
     A vehicle reaches a pickup in time when its planning origin's arrival
     time plus the travel time to the pickup is at most the request's arrival
     plus `max_wait`.  The whole fleet is checked against the whole batch in
     one NumPy comparison of that same float expression; a vehicle with no
-    free seat gets no requests.
+    free seat gets no requests.  On an empty route or one carried dropoff,
+    each hit's one-request plan is decided in the same pass by
+    `_single_plan`, and a hit with no plan is dropped: no bundle holds it.
     """
-    reachable: list[list[Request]] = [[] for _ in vehicles]
+    entries = [_NOTHING_REACHED] * len(vehicles)
     seated = [k for k, v in enumerate(vehicles) if v.capacity > len(v.onboard)]
     if not batch or not seated:
-        return reachable
+        return entries
+    times, n = net.travel_table(), len(net.locations)
     ordered = sorted(batch, key=lambda r: r.id)
-    pickups = np.array([net.index_of(r.pickup) for r in ordered])
-    due = np.array([r.arrival + constraints.max_wait for r in ordered])
+    pickups = [net.index_of(r.pickup) for r in ordered]
+    due = [r.arrival + constraints.max_wait for r in ordered]
     starts = [vehicles[k].planning_origin(net) for k in seated]
-    origins = np.array([net.index_of(start) for start, _ in starts])
-    t0 = np.array([now + offset for _, offset in starts])
-    in_time = t0[:, None] + net.travel_matrix()[origins[:, None], pickups] <= due
+    origins = [net.index_of(start) for start, _ in starts]
+    t0 = [now + offset for _, offset in starts]
+    in_time = (
+        np.array(t0)[:, None] + net.travel_matrix()[np.array(origins)[:, None], np.array(pickups)]
+        <= np.array(due)
+    )
+    # Per request: itself, its pickup and dropoff indices, pickup due time,
+    # direct ride and pickup stop.
+    trips = []
+    for r, pk, pickup_due in zip(ordered, pickups, due):
+        dk = net.index_of(r.dropoff)
+        pickup = Stop(r.pickup, r.id, PICKUP, pickup_due)
+        trips.append((r, pk, dk, pickup_due, times[pk * n + dk], pickup))
+    # Per seated vehicle: its start row, start time and carried dropoff (its
+    # stop, index and arrival time), None on an empty route; or None when
+    # two or more stops leave its plans to the search.
+    plan_origins = []
+    for k, i, start in zip(seated, origins, t0):
+        route = vehicles[k].route
+        if not route:
+            plan_origins.append((i * n, start, None))
+        elif len(route) == 1 and route[0].kind == DROPOFF:
+            a = net.index_of(route[0].location)
+            plan_origins.append((i * n, start, (route[0], a, start + times[i * n + a])))
+        else:
+            plan_origins.append(None)
+    max_detour = constraints.max_detour
     # Hits come row by row, each row's in ascending request id.
     for row, i in zip(*(hits.tolist() for hits in np.nonzero(in_time))):
-        reachable[seated[row]].append(ordered[i])
-    return reachable
+        k, origin = seated[row], plan_origins[row]
+        if entries[k] is _NOTHING_REACHED:
+            entries[k] = Reachable([], None if origin is None else [])
+        requests, singles = entries[k]
+        if origin is None:
+            requests.append(ordered[i])
+            continue
+        single = _single_plan(times, n, max_detour, origin, trips[i])
+        if single is not None:
+            requests.append(ordered[i])
+            singles.append(single)
+    return entries
+
+
+def _single_plan(
+    times: memoryview,
+    n: int,
+    max_detour: float,
+    origin: tuple[int, float, tuple[Stop, int, float] | None],
+    trip: tuple[Request, int, int, float, float, Stop],
+) -> Action | None:
+    """The action `_PlanSearch` finds for one request on a route of at most one dropoff.
+
+    `origin` is the vehicle's start and carried dropoff, and `trip` the
+    request, as `reachable_requests` tabulates them; the pickup is known to
+    be reached in time.  Each order is tried in the search's order with its
+    float expressions, summation order and lookahead prunes, and a later
+    order wins only when it finishes strictly sooner, so plan, deadlines and
+    delay are the search's to the bit.
+    """
+    s, t0, carried = origin
+    r, pk, dk, due, direct, pickup = trip
+    picked = t0 + times[s + pk]
+    if carried is None:  # one order: pickup, dropoff
+        done = picked + direct
+        if done >= math.inf:  # the dropoff is unreachable
+            return None
+        return Action((r,), (pickup, Stop(r.dropoff, r.id, DROPOFF, done + max_detour)), done - t0)
+    stop, a, route_end = carried
+    best, plan = math.inf, None
+    # (old dropoff, pickup, dropoff)
+    if route_end <= stop.deadline:
+        picked_late = route_end + times[a * n + pk]
+        done = picked_late + direct
+        if picked_late <= due and done < best:
+            best, plan = done, (stop, pickup, Stop(r.dropoff, r.id, DROPOFF, done + max_detour))
+    # Picking up first must leave the old dropoff reachable in time.
+    dropped = picked + times[pk * n + a]
+    if dropped <= stop.deadline:
+        dropoff_due = picked + direct + max_detour
+        # (pickup, old dropoff, dropoff)
+        done = dropped + times[a * n + dk]
+        if done <= dropoff_due and done < best:
+            best, plan = done, (pickup, stop, Stop(r.dropoff, r.id, DROPOFF, dropoff_due))
+        # (pickup, dropoff, old dropoff)
+        done = picked + direct + times[dk * n + a]
+        if done <= stop.deadline and done < best:
+            best, plan = done, (pickup, Stop(r.dropoff, r.id, DROPOFF, dropoff_due), stop)
+    if plan is None:
+        return None
+    return Action((r,), plan, best - route_end)
 
 
 def feasible_actions(
     v: VehicleState,
-    reachable: Sequence[Request],
+    entry: Reachable,
     now: float,
     net: StreetNetwork,
     constraints: RideConstraints,
 ) -> list[Action]:
-    """All subsets of `reachable` the vehicle can serve, each with its best plan.
+    """All subsets of the entry's requests the vehicle can serve, each with its best plan.
 
-    `reachable` is the vehicle's entry of `reachable_requests`: the requests
-    whose pickup it reaches in time, in ascending id order.  Bundles grow one
-    request per layer, as in Alonso-Mora et al.'s trip construction.  The
-    first layer's pool is `reachable`, each later pool the requests of the
-    previous layer's bundles, and a bundle (sorted ids) is searched only when
-    every bundle one request smaller is feasible; dropping stops never delays
-    the rest, so none is missed.  The null action comes first, then bundles
-    by size and then by request ids.
+    `entry` is the vehicle's entry of `reachable_requests`.  Bundles grow
+    one request per layer, as in Alonso-Mora et al.'s trip construction.
+    The first layer is the entry's decided singles, or, on a route of two or
+    more stops, the requests the plan search finds a plan for; each later
+    pool is the requests of the previous layer's bundles, and a bundle
+    (sorted ids) is searched only when every bundle one request smaller is
+    feasible; dropping stops never delays the rest, so none is missed.  The
+    null action comes first, then bundles by size and then by request ids.
     """
     actions = [null_action(v)]
     room = min(constraints.max_bundle, v.capacity - len(v.onboard))
-    if room <= 0 or not reachable:
+    requests, singles = entry
+    if room <= 0 or not requests:
         return actions
+    pool = [r.id for r in requests]
+    if singles is None:
+        first, smaller = 1, {()}
+    else:
+        actions += singles
+        first, smaller = 2, {(rid,) for rid in pool}
+        if room < 2 or len(pool) < 2:
+            return actions
 
     search = _PlanSearch(v, now, net, constraints)
-    by_id = {r.id: r for r in reachable}
-    pool = [r.id for r in reachable]
-    smaller: set[tuple[int, ...]] = {()}
-    for size in range(1, room + 1):
+    by_id = {r.id: r for r in requests}
+    for size in range(first, room + 1):
         layer: set[tuple[int, ...]] = set()
         for ids in combinations(pool, size):
             if not smaller.issuperset(combinations(ids, size - 1)):
                 continue
-            requests = tuple(by_id[rid] for rid in ids)
-            if search.run(requests):
-                actions.append(Action(requests, search.plan(), search.best_time - search.route_end))
+            bundle = tuple(by_id[rid] for rid in ids)
+            if search.run(bundle):
+                actions.append(Action(bundle, search.plan(), search.best_time - search.route_end))
                 layer.add(ids)
         smaller = layer
         pool = sorted({rid for ids in layer for rid in ids})

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -278,7 +279,16 @@ class AreaPartition:
             raise InputError(f"location {location} is not mapped to an area") from None
 
     def locations_in(self, area: int) -> tuple[int, ...]:
-        return tuple(sorted(loc for loc, a in self.area_of.items() if a == area))
+        """The area's locations, ascending; () for an id outside [0, num_areas)."""
+        return self._members.get(area, ())
+
+    @cached_property
+    def _members(self) -> dict[int, tuple[int, ...]]:
+        """Each area's sorted locations, built in one scan on first read."""
+        members: dict[int, list[int]] = {}
+        for loc in sorted(self.area_of):
+            members.setdefault(self.area_of[loc], []).append(loc)
+        return {a: tuple(locs) for a, locs in members.items()}
 
 
 def group_of(partition: AreaPartition, origin: int, dest: int) -> GroupId:

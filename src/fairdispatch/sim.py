@@ -146,8 +146,8 @@ def build_window_problem(
     actions_by: dict[int, list] = {}
     candidates: dict[int, list[Candidate]] = {}
     reachable = reachable_requests(vehicles, batch, now, net, constraints)
-    for v, requests in zip(vehicles, reachable):
-        acts = feasible_actions(v, requests, now, net, constraints)
+    for v, entry in zip(vehicles, reachable):
+        acts = feasible_actions(v, entry, now, net, constraints)
         rows = []
         for a in acts:
             if snapshot is not None:
@@ -283,8 +283,16 @@ def _init_sweep_worker(*inputs) -> None:
 
 
 def _sweep_point(inputs: tuple, weights: ScoreWeights) -> SweepRow:
+    """One grid point's run; a failed window's error names the point."""
     cfg, net, partition, requests, fleet = inputs
-    result = run_simulation(replace(cfg, weights=weights), net, partition, requests, fleet)
+    try:
+        result = run_simulation(replace(cfg, weights=weights), net, partition, requests, fleet)
+    except WindowSolveError as exc:
+        point = (
+            f"beta={weights.beta} delta={weights.delta} "
+            f"passenger_plus={weights.passenger_plus} driver_plus={weights.driver_plus}"
+        )
+        raise WindowSolveError(f"{point}: {exc}", exc.window, exc.problem) from exc
     return SweepRow(weights.beta, weights.delta, weights.passenger_plus, weights.driver_plus, result)
 
 

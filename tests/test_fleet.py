@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -14,6 +15,7 @@ from fairdispatch.fleet import (
     RideConstraints,
     Stop,
     VehicleState,
+    _PlanSearch,
     advance,
     feasible_actions,
     load_fleet,
@@ -31,9 +33,9 @@ def req(rid, pickup, dropoff, arrival=0.0):
 
 
 def feasible(v, batch, now, net, constraints):
-    """`feasible_actions` on the vehicle's reachable requests, as a window builds them."""
-    reachable = reachable_requests([v], batch, now, net, constraints)[0]
-    return feasible_actions(v, reachable, now, net, constraints)
+    """`feasible_actions` on the vehicle's entry of `reachable_requests`, as a window builds them."""
+    entry = reachable_requests([v], batch, now, net, constraints)[0]
+    return feasible_actions(v, entry, now, net, constraints)
 
 
 def oracle_feasible(v, batch, now, net, constraints):
@@ -294,9 +296,11 @@ def test_reachable_requests_match_the_scalar_check():
             batch.append(req(rid, pickup, dropoff, arrival=arrival))
         got = reachable_requests(vehicles, batch, now, net, cons)
         assert len(got) == len(vehicles)
-        for v, reach in zip(vehicles, got):
+        for v, (reach, singles) in zip(vehicles, got):
             expected = scalar_reachable(v, batch, now, net, cons)
-            assert reach == expected, f"trial {trial}, vehicle {v.id}"
+            if singles is not None:  # decided on the spot: a hit with no plan is dropped
+                expected = [r for r in expected if _PlanSearch(v, now, net, cons).run([r])]
+            assert list(reach) == expected, f"trial {trial}, vehicle {v.id}"
             if v.capacity > len(v.onboard):
                 outcomes.update(r in expected for r in batch)
                 start = v.planning_origin(net)[0]
@@ -308,9 +312,183 @@ def test_reachable_requests_match_the_scalar_check():
 def test_reachable_requests_of_an_empty_window():
     net = make_grid(2, 2, 60.0)
     vehicles = [VehicleState(0, 0, capacity=2), VehicleState(1, 3, capacity=1, onboard={7})]
-    assert reachable_requests(vehicles, [], 60.0, net, C) == [[], []]
+    assert reachable_requests(vehicles, [], 60.0, net, C) == [((), ()), ((), ())]
     assert reachable_requests([], [req(0, 1, 2)], 60.0, net, C) == []
-    assert reachable_requests(vehicles, [req(0, 1, 2)], 60.0, net, C) == [[req(0, 1, 2)], []]
+    [(reach, singles), full] = reachable_requests(vehicles, [req(0, 1, 2)], 60.0, net, C)
+    assert reach == [req(0, 1, 2)] and [a.requests for a in singles] == [(req(0, 1, 2),)]
+    assert full == ((), ())
+
+
+def test_unreachable_dropoff_yields_no_single():
+    # node 100 has no edge: its pickup side is reached, its dropoff never
+    net = from_edges([0, 1, 2, 3, 100], [(u, (u + 1) % 4, 60.0) for u in range(4)])
+    batch = [req(0, 1, 100), req(1, 1, 2)]
+    empty = VehicleState(0, 0, capacity=2)
+    carrying = VehicleState(1, 0, capacity=2, route=[Stop(3, 9, DROPOFF, 1e9)], onboard={9})
+    for v in (empty, carrying):
+        reachable = scalar_reachable(v, batch, 60.0, net, C)
+        assert [r.id for r in reachable] == [0, 1]
+        actions = feasible(v, batch, 60.0, net, C)
+        assert [a.request_ids() for a in actions] == [frozenset(), frozenset({1})]
+
+
+def test_one_stop_route_keeps_the_search_lookahead():
+    # 0 -> 1 -> 2 at 2/3 a hop: d(0, 2) = 4/3, but (600 + 2/3) + 2/3 < 600 + 4/3
+    # by an ulp, so (pickup 0, dropoff 1, old dropoff 2) meets the old
+    # deadline while the search's lookahead, 600 + d(0, 2), misses it.
+    net = from_edges([0, 1, 2], [(0, 1, 2 / 3), (1, 2, 2 / 3)])
+    deadline = (600.0 + 2 / 3) + 2 / 3
+    assert 600.0 + net.travel_time(0, 2) > deadline
+    v = VehicleState(0, 0, capacity=2, route=[Stop(2, 9, DROPOFF, deadline)], onboard={9})
+    r = req(0, 0, 1, arrival=590.0)
+    assert not _PlanSearch(v, 600.0, net, C).run([r])
+    assert reachable_requests([v], [r], 600.0, net, C) == [([], [])]  # the hit had no plan
+    assert feasible(v, [r], 600.0, net, C) == [null_action(v)]
+
+
+def walk_order(v, order, now, net, constraints, r):
+    """Completion time of one stop order for request `r`, or None when it misses a deadline."""
+    start, offset = v.planning_origin(net)
+    t, pos, picked = now + offset, start, None
+    for stop in order:
+        t += net.travel_time(pos, stop.location)
+        pos = stop.location
+        if stop.kind == PICKUP:
+            picked, due = t, stop.deadline
+        elif stop.request_id == r.id:
+            due = picked + net.travel_time(r.pickup, r.dropoff) + constraints.max_detour
+        else:
+            due = stop.deadline
+        if t > due:
+            return None
+    return t
+
+
+def test_decided_singles_equal_the_plan_search():
+    """Every one-request action decided in `reachable_requests` is the plan search's, to the bit.
+
+    Costs in thirds make exact ties; deadlines and pickup due times are set
+    exactly on the bounds the three orders of a one-stop route test; node 100
+    has no edge, so a dropoff there is never reached.
+    """
+    rng = random.Random(7)
+    reached = Counter()
+    lonely = 100
+    for trial in range(600):
+        locs = rng.sample(range(20), rng.randint(2, 5))
+        costs = [k / 3 for k in range(1, 10)]
+        edges = [(u, w, rng.choice(costs)) for u in locs for w in locs if u != w and rng.random() < 0.7]
+        net = from_edges([*locs, lonely], edges)
+        now = 600.0
+        cons = RideConstraints(
+            max_wait=rng.choice([1 / 3, 1.0, 3.0]),
+            max_detour=rng.choice([0.0, 1 / 3, 1.0, 300.0]),
+            max_bundle=rng.randint(1, 3),
+        )
+        trips = [rng.sample([*locs, lonely] if rng.random() < 0.2 else locs, 2) for _ in range(rng.randint(1, 5))]
+
+        def times_for(v, pickup, dropoff, carried):
+            """P1, the order-2 arrival at the carried dropoff and order 3's completion."""
+            start, offset = v.planning_origin(net)
+            p1 = now + offset + net.travel_time(start, pickup)
+            return (
+                p1,
+                p1 + net.travel_time(pickup, carried),
+                p1 + net.travel_time(pickup, dropoff) + net.travel_time(dropoff, carried),
+            )
+
+        vehicles = []
+        for vid in range(rng.randint(1, 4)):
+            capacity = rng.randint(1, 3)
+            v = VehicleState(vid, rng.choice(locs), capacity)
+            if edges and rng.random() < 0.3:
+                u, w, cost = rng.choice(edges)
+                v.location, v.next_node = u, w
+                v.edge_progress = rng.choice([0.0, cost / 3, cost / 2])
+            stops = rng.choice([0, 1, 1, 1, 2]) if rng.random() < 0.9 else capacity
+            stops = min(stops, capacity)
+            rids = list(range(90, 90 + stops))
+            v.onboard = set(rids)
+            v.route = [Stop(rng.choice(locs), rid, DROPOFF, 1e9) for rid in rids]
+            if stops == 1:
+                start, offset = v.planning_origin(net)
+                route_end = now + offset + net.travel_time(start, v.route[0].location)
+                pickup, dropoff = rng.choice(trips)
+                bounds = [route_end, route_end - 1 / 3, 1e9]
+                bounds += times_for(v, pickup, dropoff, v.route[0].location)
+                v.route = [Stop(v.route[0].location, 90, DROPOFF, rng.choice(bounds))]
+            vehicles.append(v)
+        batch = []
+        for rid, (pickup, dropoff) in enumerate(trips):
+            v = rng.choice(vehicles)
+            due = [times_for(v, pickup, dropoff, pickup)[0], now + rng.choice([0.0, 1.0, 5 / 3])]
+            if len(v.route) == 1:  # the pickup after the carried dropoff, exactly on time
+                start, offset = v.planning_origin(net)
+                carried = v.route[0].location
+                due.append(now + offset + net.travel_time(start, carried) + net.travel_time(carried, pickup))
+            due = rng.choice([d for d in due if d < UNREACHABLE])
+            batch.append(req(rid, pickup, dropoff, arrival=due - cons.max_wait))
+
+        got = reachable_requests(vehicles, batch, now, net, cons)
+        for v, (requests, singles) in zip(vehicles, got):
+            where = f"trial {trial}, vehicle {v.id}"
+            hits = scalar_reachable(v, batch, now, net, cons)
+            if len(v.route) >= 2:  # the search decides
+                assert (list(requests), singles) == (hits, None if hits else ()), where
+                reached["left to the search"] += bool(hits)
+                continue
+            assert [a.requests for a in singles] == [(r,) for r in requests], where
+            decided = {a.requests[0].id: a for a in singles}
+            for r in hits:
+                search = _PlanSearch(v, now, net, cons)
+                if net.travel_time(r.pickup, r.dropoff) == UNREACHABLE:
+                    reached["unreachable dropoff"] += 1
+                if not search.run([r]):
+                    assert r.id not in decided, where
+                    continue
+                single, plan = decided[r.id], search.plan()
+                assert single.plan == plan, where
+                assert [s.deadline.hex() for s in single.plan] == [s.deadline.hex() for s in plan], where
+                assert single.added_delay.hex() == (search.best_time - search.route_end).hex(), where
+                if not v.route:
+                    reached["empty route"] += 1
+                    continue
+                old = v.route[0]
+                pickup = Stop(r.pickup, r.id, PICKUP, r.arrival + cons.max_wait)
+                dropoff = Stop(r.dropoff, r.id, DROPOFF, None)
+                orders = [(old, pickup, dropoff), (pickup, old, dropoff), (pickup, dropoff, old)]
+                won = [stop.request_id for stop in single.plan].index(old.request_id)
+                reached[f"order {won + 1} wins"] += 1
+                best = walk_order(v, orders[won], now, net, cons, r)
+                if any(walk_order(v, o, now, net, cons, r) == best for o in orders[won + 1 :]):
+                    reached["tie to the earlier order"] += 1
+            if len(v.route) == 1:
+                old = v.route[0]
+                for r in hits:
+                    p1, at_old, _ = times_for(v, r.pickup, r.dropoff, old.location)
+                    start, offset = v.planning_origin(net)
+                    route_end = now + offset + net.travel_time(start, old.location)
+                    if route_end <= old.deadline and route_end + net.travel_time(old.location, r.pickup) > (
+                        r.arrival + cons.max_wait
+                    ):
+                        reached["pickup after the old dropoff too late"] += 1
+                    if at_old > old.deadline:
+                        reached["old dropoff too late after the pickup"] += 1
+                    reached["old dropoff due exactly"] += route_end == old.deadline or at_old == old.deadline
+            assert list(requests) == [r for r in hits if r.id in decided], where
+    assert set(reached) == {
+        "left to the search",
+        "unreachable dropoff",
+        "empty route",
+        "order 1 wins",
+        "order 2 wins",
+        "order 3 wins",
+        "tie to the earlier order",
+        "pickup after the old dropoff too late",
+        "old dropoff too late after the pickup",
+        "old dropoff due exactly",
+    }, reached
+    assert all(reached.values()), reached
 
 
 def test_advance_idle_null_is_noop(grid3):

@@ -459,14 +459,17 @@ def highs_failure_manifest(tmp_path: Path, monkeypatch) -> Path:
     )
 
 
-def assert_one_replayable_dump(out: Path, err: str, what: str) -> None:
-    """The failed window 3 is dumped once, and the dump replays to the reported error."""
+def assert_one_replayable_dump(out: Path, err: str, what: str, point: str = "") -> None:
+    """The failed window 3 is dumped once, and the dump replays to the reported error.
+
+    `point` is what the report names before the matcher's message: a sweep's grid point.
+    """
     assert "HiGHS found no optimum for the component of vehicles" in err
     dumps = list(out.glob("failed_window_*.json"))
     assert [dump.name for dump in dumps] == ["failed_window_3.json"]
     with pytest.raises(ContractError) as replay:
         solve_ilp(problem_from_json(dumps[0]))
-    assert err == f"error: {what} failed: {replay.value}\n"
+    assert err == f"error: {what} failed: {point}{replay.value}\n"
 
 
 def test_run_exits_3_when_highs_fails(tmp_path, monkeypatch, capsys):
@@ -482,7 +485,8 @@ def test_sweep_exits_3_when_highs_fails(tmp_path, monkeypatch, capsys):
     out = tmp_path / "o"
     command = ["sweep", "--manifest", str(manifest), "--out", str(out)]
     assert main([*command, "--beta", "20", "--delta", "20", "--variant", "si-plus"]) == 3
-    assert_one_replayable_dump(out, capsys.readouterr().err, "sweep")
+    point = "beta=20.0 delta=20.0 passenger_plus=True driver_plus=True: "
+    assert_one_replayable_dump(out, capsys.readouterr().err, "sweep", point)
     assert not (out / "sweep.csv").exists()
 
 

@@ -342,6 +342,20 @@ def test_partition_basics():
     assert set(part.locations_in(0)) | set(part.locations_in(1)) == set(range(16))
 
 
+def test_locations_in_equals_a_scan_of_the_map():
+    rng = random.Random(13)
+    for trial in range(40):
+        locs = rng.sample(range(-50, 200), rng.randint(1, 40))
+        num_areas = rng.randint(1, len(locs))
+        areas = [*range(num_areas), *(rng.randrange(num_areas) for _ in locs[num_areas:])]
+        rng.shuffle(areas)
+        part = AreaPartition(dict(zip(locs, areas)), num_areas)
+        for area in range(num_areas):
+            scan = tuple(sorted(loc for loc, a in part.area_of.items() if a == area))
+            assert part.locations_in(area) == scan, f"trial {trial}, area {area}"
+        assert part.locations_in(-1) == part.locations_in(num_areas) == ()
+
+
 def test_partition_rejects_nontiling():
     with pytest.raises(InputError):
         grid_partition(4, 4, 3, 2)

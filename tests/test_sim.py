@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import fairdispatch.fleet as fleet_module
 import fairdispatch.sim as sim_module
 from fairdispatch import matcher
 from fairdispatch.demand import DemandProfile, Request, synth_requests
 from fairdispatch.errors import ConfigError, ContractError, InputError, InstanceTooLargeError, WindowSolveError
-from fairdispatch.fleet import VehicleState, feasible_actions, random_fleet, reachable_requests
+from fairdispatch.fleet import DROPOFF, VehicleState, feasible_actions, random_fleet, reachable_requests
 from fairdispatch.metrics import DriverHistory, PassengerHistory
 from fairdispatch.network import GroupId, grid_partition, make_grid
 from fairdispatch.scoring import ScoreWeights, ValueFunction
@@ -183,6 +185,30 @@ def test_bundle_3_desk_run_keeps_the_oracle_and_conserves_requests(monkeypatch):
     assert result.passenger_history.totals() == (len(requests), result.total_served)
 
 
+def test_no_plan_search_for_one_request_on_a_short_route(monkeypatch):
+    """Ten windows of a seeded 10x10 city at capacity 3 and bundle 3: a route
+    of at most one dropoff never reaches the plan search with one request,
+    while its bundles and longer routes' requests still do."""
+    searches = Counter()
+    run = fleet_module._PlanSearch.run
+
+    def recording(search, new_requests):
+        short = not search.route or (len(search.route) == 1 and search.route[0][2] == DROPOFF)
+        searches[short, len(new_requests)] += 1
+        return run(search, new_requests)
+
+    monkeypatch.setattr(fleet_module._PlanSearch, "run", recording)
+    net = make_grid(10, 10, 40.0)
+    part = grid_partition(10, 10, 5, 5)
+    profile = DemandProfile({GroupId(o, d): 2.0 for o in range(4) for d in range(4)}, horizon=600.0, seed=4)
+    fleet = random_fleet(40, 3, net, seed=5)
+    cfg = SimConfig(window_len=60.0, horizon=600.0, max_bundle=3, matcher="async_greedy", seed=4)
+    result = run_simulation(cfg, net, part, synth_requests(profile, net, part), fleet)
+    assert result.total_served > 0
+    assert searches[True, 1] == 0
+    assert all(searches[key] for key in [(False, 1), (True, 2), (True, 3), (False, 2)]), searches
+
+
 def test_stepping_the_windows_by_hand_repeats_the_run():
     net, part, requests, fleet = small_world(seed=2)
     cfg = small_cfg(weights=ScoreWeights(beta=5.0, delta=5.0))
@@ -350,8 +376,8 @@ def test_passenger_instance_structure():
         feasible_anywhere = False
         now, cons = inst.config.window_len, inst.config.constraints()
         reachable = reachable_requests(inst.fleet, inst.requests, now, inst.net, cons)
-        for v, requests in zip(inst.fleet, reachable):
-            actions = feasible_actions(v, requests, now, inst.net, cons)
+        for v, entry in zip(inst.fleet, reachable):
+            actions = feasible_actions(v, entry, now, inst.net, cons)
             if any(a.request_ids() == {worst[0].id} for a in actions):
                 feasible_anywhere = True
         assert feasible_anywhere
@@ -376,10 +402,10 @@ def test_driver_instance_structure():
         worse_off_servers = []
         now, cons = inst.config.window_len, inst.config.constraints()
         reachable = reachable_requests(inst.fleet, inst.requests, now, inst.net, cons)
-        for v, requests in zip(inst.fleet, reachable):
+        for v, entry in zip(inst.fleet, reachable):
             if hist.scaled[v.id] >= hist.mean_scaled:
                 continue
-            actions = feasible_actions(v, requests, now, inst.net, cons)
+            actions = feasible_actions(v, entry, now, inst.net, cons)
             if any(a.request_ids() == {r_star.id} for a in actions):
                 worse_off_servers.append(v.id)
         assert worse_off_servers == [j]
