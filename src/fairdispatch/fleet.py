@@ -5,21 +5,21 @@ route while honouring pickup deadlines (request arrival plus the maximum
 wait), dropoff deadlines (pickup time plus direct travel plus the detour
 allowance), and capacity.  Once per window, `reachable_requests` checks
 every vehicle against every request in one NumPy comparison over the
-network's distance table and keeps, per vehicle, the requests whose pickup
-it reaches in time; `feasible_actions` grows one vehicle's bundles from
-those alone.  Route plans are found by exhaustive search over stop
-orderings, reading travel times from the flat distance table by location
-index, so each returned action carries the minimum added travel time
-realisation of its request set.  The search keeps the first fastest order
-it finds with the pickup times along it, so a plan's new dropoff deadlines
-come from the search, not from a second walk of the order.
+network's distance table and, in the same pass over its hits, decides each
+vehicle's one-request actions; `feasible_actions` grows one vehicle's
+bundles of two or more from those alone.  Route plans are found by
+exhaustive search over stop orderings, reading travel times from the flat
+distance table by location index, so each returned action carries the
+minimum added travel time realisation of its request set.  The search keeps
+the first fastest order it finds with the pickup times along it, so a plan's
+new dropoff deadlines come from the search, not from a second walk of the
+order.
 
 One-request plans on an empty route (one order) or on a route of one
-carried dropoff (three orders) are decided without the search, inside
-`reachable_requests`'s pass over its hits, with the search's own float
-expressions, prunes and tie-break, so they equal its plans to the bit.  The
-search runs only for bundles of two or more and for routes of two or more
-stops.
+carried dropoff (three orders) are decided without the search, with the
+search's own float expressions, prunes and tie-break, so they equal its
+plans to the bit.  The search decides the one-request plans of routes of two
+or more stops, and every bundle.
 
 That search is factorial in the number of stops, so capacity and bundle
 size have ceilings (MAX_CAPACITY, MAX_BUNDLE), and so does the fleet
@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,11 +75,10 @@ class RideConstraints:
     def __post_init__(self) -> None:
         if not self.max_wait > 0:
             raise ConfigError(f"max_wait must be positive, got {self.max_wait}")
-        if not (self.max_detour >= 0 and 1 <= self.max_bundle <= MAX_BUNDLE):
-            raise ConfigError(
-                f"max_detour must be >= 0 and max_bundle in 1..{MAX_BUNDLE}, "
-                f"got {self.max_detour}, {self.max_bundle}"
-            )
+        if not self.max_detour >= 0:
+            raise ConfigError(f"max_detour must be >= 0, got {self.max_detour}")
+        if not 1 <= self.max_bundle <= MAX_BUNDLE:
+            raise ConfigError(f"max_bundle must be in 1..{MAX_BUNDLE}, got {self.max_bundle}")
 
 
 @dataclass
@@ -200,6 +199,12 @@ class _PlanSearch:
         self._extend(self.start_row, self.t0, self.onboard, 0, {}, [])
         return self.best_order is not None
 
+    def action(self, bundle: tuple[Request, ...]) -> Action | None:
+        """The bundle's action with its fastest plan, or None when no order meets every deadline."""
+        if not self.run(bundle):
+            return None
+        return Action(bundle, self.plan(), self.best_time - self.route_end)
+
     def plan(self) -> tuple[Stop, ...]:
         """The best order's stops; a new dropoff is due `max_detour` after its direct ride."""
         due = {rid: self.best_pickups[rid] + d + self.max_detour for rid, d in self.direct.items()}
@@ -260,22 +265,8 @@ class _PlanSearch:
                     self._extend(here, t2, count - 1, after, pickup_times, order + [token])
 
 
-class Reachable(NamedTuple):
-    """One vehicle's entry of `reachable_requests`.
-
-    `requests` holds the requests it may serve, by ascending id.  On a route
-    of at most one carried dropoff, `singles` holds their one-request
-    actions, decided without the plan search; it is None on longer routes,
-    whose `requests` are every pickup reached in time.  Every vehicle that
-    reaches no request shares the entry `((), ())`.
-    """
-
-    requests: Sequence[Request]
-    singles: Sequence[Action] | None
-
-
 # Shared by every vehicle that reaches no request, so immutable.
-_NOTHING_REACHED = Reachable((), ())
+_NOTHING_REACHED: tuple[Action, ...] = ()
 
 
 def reachable_requests(
@@ -284,18 +275,20 @@ def reachable_requests(
     now: float,
     net: StreetNetwork,
     constraints: RideConstraints,
-) -> list[Reachable]:
-    """For each vehicle, the requests whose pickup it reaches in time, by ascending id.
+) -> list[Sequence[Action]]:
+    """For each vehicle, its one-request actions, by ascending request id.
 
     A vehicle reaches a pickup in time when its planning origin's arrival
     time plus the travel time to the pickup is at most the request's arrival
     plus `max_wait`.  The whole fleet is checked against the whole batch in
     one NumPy comparison of that same float expression; a vehicle with no
-    free seat gets no requests.  On an empty route or one carried dropoff,
-    each hit's one-request plan is decided in the same pass by
-    `_single_plan`, and a hit with no plan is dropped: no bundle holds it.
+    free seat gets no requests.  Each hit's one-request plan is decided in
+    the same pass: by `_single_plan` on an empty route or one carried
+    dropoff, by the plan search on longer routes.  A hit with no plan is
+    dropped: no bundle holds it.  Every vehicle that reaches nothing shares
+    one empty tuple.
     """
-    entries = [_NOTHING_REACHED] * len(vehicles)
+    entries: list[Sequence[Action]] = [_NOTHING_REACHED] * len(vehicles)
     seated = [k for k, v in enumerate(vehicles) if v.capacity > len(v.onboard)]
     if not batch or not seated:
         return entries
@@ -331,19 +324,20 @@ def reachable_requests(
         else:
             plan_origins.append(None)
     max_detour = constraints.max_detour
-    # Hits come row by row, each row's in ascending request id.
+    # Hits come row by row, each row's in ascending request id, so one
+    # vehicle's hits are consecutive and its search is built at its first.
     for row, i in zip(*(hits.tolist() for hits in np.nonzero(in_time))):
         k, origin = seated[row], plan_origins[row]
         if entries[k] is _NOTHING_REACHED:
-            entries[k] = Reachable([], None if origin is None else [])
-        requests, singles = entries[k]
+            entries[k] = []
+            if origin is None:
+                search = _PlanSearch(vehicles[k], now, net, constraints)
         if origin is None:
-            requests.append(ordered[i])
-            continue
-        single = _single_plan(times, n, max_detour, origin, trips[i])
+            single = search.action((ordered[i],))
+        else:
+            single = _single_plan(times, n, max_detour, origin, trips[i])
         if single is not None:
-            requests.append(ordered[i])
-            singles.append(single)
+            entries[k].append(single)
     return entries
 
 
@@ -398,46 +392,37 @@ def _single_plan(
 
 def feasible_actions(
     v: VehicleState,
-    entry: Reachable,
+    singles: Sequence[Action],
     now: float,
     net: StreetNetwork,
     constraints: RideConstraints,
 ) -> list[Action]:
-    """All subsets of the entry's requests the vehicle can serve, each with its best plan.
+    """All subsets of the singles' requests the vehicle can serve, each with its best plan.
 
-    `entry` is the vehicle's entry of `reachable_requests`.  Bundles grow
-    one request per layer, as in Alonso-Mora et al.'s trip construction.
-    The first layer is the entry's decided singles, or, on a route of two or
-    more stops, the requests the plan search finds a plan for; each later
-    pool is the requests of the previous layer's bundles, and a bundle
-    (sorted ids) is searched only when every bundle one request smaller is
-    feasible; dropping stops never delays the rest, so none is missed.  The
-    null action comes first, then bundles by size and then by request ids.
+    `singles` is the vehicle's entry of `reachable_requests`: its decided
+    one-request actions.  Bundles grow one request per layer from them, as in
+    Alonso-Mora et al.'s trip construction: each pool is the requests of the
+    previous layer's bundles, and a bundle (sorted ids) is searched only when
+    every bundle one request smaller is feasible; dropping stops never delays
+    the rest, so none is missed.  The null action comes first, then the
+    singles, then bundles by size and then by request ids.
     """
-    actions = [null_action(v)]
+    actions = [null_action(v), *singles]
     room = min(constraints.max_bundle, v.capacity - len(v.onboard))
-    requests, singles = entry
-    if room <= 0 or not requests:
+    if room < 2 or len(singles) < 2:
         return actions
-    pool = [r.id for r in requests]
-    if singles is None:
-        first, smaller = 1, {()}
-    else:
-        actions += singles
-        first, smaller = 2, {(rid,) for rid in pool}
-        if room < 2 or len(pool) < 2:
-            return actions
-
     search = _PlanSearch(v, now, net, constraints)
-    by_id = {r.id: r for r in requests}
-    for size in range(first, room + 1):
+    by_id = {a.requests[0].id: a.requests[0] for a in singles}
+    pool = list(by_id)
+    smaller = {(rid,) for rid in pool}
+    for size in range(2, room + 1):
         layer: set[tuple[int, ...]] = set()
         for ids in combinations(pool, size):
             if not smaller.issuperset(combinations(ids, size - 1)):
                 continue
-            bundle = tuple(by_id[rid] for rid in ids)
-            if search.run(bundle):
-                actions.append(Action(bundle, search.plan(), search.best_time - search.route_end))
+            action = search.action(tuple(by_id[rid] for rid in ids))
+            if action is not None:
+                actions.append(action)
                 layer.add(ids)
         smaller = layer
         pool = sorted({rid for ids in layer for rid in ids})

@@ -36,7 +36,7 @@ import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import inf
+from math import inf, isfinite
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -145,6 +145,10 @@ def _masks(p: MatchProblem) -> dict[int, list[tuple[int, float]]]:
             except KeyError:
                 stray = sorted(c.requests - p.batch_ids)
                 raise InputError(f"vehicle {v} references requests outside the batch: {stray}") from None
+            if not isfinite(c.score):
+                # No enumerate on this hot loop: an earlier equal candidate would have raised.
+                j = cands.index(c)
+                raise InputError(f"vehicle {v} candidate {j} has a non-finite score: {c.score}")
             rows.append((mask, c.score))
         out[v] = rows
     return out

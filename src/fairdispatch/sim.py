@@ -146,8 +146,8 @@ def build_window_problem(
     actions_by: dict[int, list] = {}
     candidates: dict[int, list[Candidate]] = {}
     reachable = reachable_requests(vehicles, batch, now, net, constraints)
-    for v, entry in zip(vehicles, reachable):
-        acts = feasible_actions(v, entry, now, net, constraints)
+    for v, singles in zip(vehicles, reachable):
+        acts = feasible_actions(v, singles, now, net, constraints)
         rows = []
         for a in acts:
             if snapshot is not None:

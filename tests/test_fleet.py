@@ -34,8 +34,8 @@ def req(rid, pickup, dropoff, arrival=0.0):
 
 def feasible(v, batch, now, net, constraints):
     """`feasible_actions` on the vehicle's entry of `reachable_requests`, as a window builds them."""
-    entry = reachable_requests([v], batch, now, net, constraints)[0]
-    return feasible_actions(v, entry, now, net, constraints)
+    singles = reachable_requests([v], batch, now, net, constraints)[0]
+    return feasible_actions(v, singles, now, net, constraints)
 
 
 def oracle_feasible(v, batch, now, net, constraints):
@@ -261,7 +261,7 @@ def scalar_reachable(v, batch, now, net, constraints):
 def test_reachable_requests_match_the_scalar_check():
     rng = random.Random(31)
     outcomes = set()
-    unreachable = 0
+    unreachable = long_route_hits = 0
     for trial in range(60):
         locs = rng.sample(range(-20, 60), rng.randint(3, 9))
         lonely = 100  # no edge touches it
@@ -272,14 +272,15 @@ def test_reachable_requests_match_the_scalar_check():
         cons = RideConstraints(max_wait=rng.choice([1.0, 4 / 3, 3.0]), max_detour=300.0)
         vehicles = []
         for vid in range(rng.randint(0, 6)):
-            v = VehicleState(vid, rng.choice([*locs, lonely]), capacity=rng.randint(1, 2))
+            v = VehicleState(vid, rng.choice([*locs, lonely]), capacity=rng.randint(1, 3))
             roll = rng.random()
             if roll < 0.3 and edges:
                 u, w, cost = rng.choice(edges)
                 v.location, v.next_node = u, w
                 v.edge_progress = rng.choice([0.0, cost / 3, cost / 2])
             elif roll < 0.5:
-                v.onboard = set(range(90, 90 + v.capacity))  # no free seat
+                # a rider in every seat, or two riders and a free seat on a three-seat vehicle
+                v.onboard = set(range(90, 90 + rng.randint(min(2, v.capacity), v.capacity)))
                 v.route = [Stop(rng.choice(locs), rid, DROPOFF, 1e9) for rid in sorted(v.onboard)]
             vehicles.append(v)
         batch = []
@@ -296,27 +297,28 @@ def test_reachable_requests_match_the_scalar_check():
             batch.append(req(rid, pickup, dropoff, arrival=arrival))
         got = reachable_requests(vehicles, batch, now, net, cons)
         assert len(got) == len(vehicles)
-        for v, (reach, singles) in zip(vehicles, got):
-            expected = scalar_reachable(v, batch, now, net, cons)
-            if singles is not None:  # decided on the spot: a hit with no plan is dropped
-                expected = [r for r in expected if _PlanSearch(v, now, net, cons).run([r])]
-            assert list(reach) == expected, f"trial {trial}, vehicle {v.id}"
+        for v, singles in zip(vehicles, got):
+            hits = scalar_reachable(v, batch, now, net, cons)
+            long_route_hits += len(v.route) >= 2 and bool(hits)
+            # decided on the spot: a hit with no plan is dropped
+            expected = [r for r in hits if _PlanSearch(v, now, net, cons).run([r])]
+            assert [a.requests for a in singles] == [(r,) for r in expected], f"trial {trial}, vehicle {v.id}"
             if v.capacity > len(v.onboard):
                 outcomes.update(r in expected for r in batch)
                 start = v.planning_origin(net)[0]
                 unreachable += sum(net.travel_time(start, r.pickup) == UNREACHABLE for r in batch)
     assert outcomes == {True, False}
-    assert unreachable > 0
+    assert unreachable > 0 and long_route_hits > 0
 
 
 def test_reachable_requests_of_an_empty_window():
     net = make_grid(2, 2, 60.0)
     vehicles = [VehicleState(0, 0, capacity=2), VehicleState(1, 3, capacity=1, onboard={7})]
-    assert reachable_requests(vehicles, [], 60.0, net, C) == [((), ()), ((), ())]
+    assert reachable_requests(vehicles, [], 60.0, net, C) == [(), ()]
     assert reachable_requests([], [req(0, 1, 2)], 60.0, net, C) == []
-    [(reach, singles), full] = reachable_requests(vehicles, [req(0, 1, 2)], 60.0, net, C)
-    assert reach == [req(0, 1, 2)] and [a.requests for a in singles] == [(req(0, 1, 2),)]
-    assert full == ((), ())
+    [singles, full] = reachable_requests(vehicles, [req(0, 1, 2)], 60.0, net, C)
+    assert [a.requests for a in singles] == [(req(0, 1, 2),)]
+    assert full == ()
 
 
 def test_unreachable_dropoff_yields_no_single():
@@ -342,7 +344,7 @@ def test_one_stop_route_keeps_the_search_lookahead():
     v = VehicleState(0, 0, capacity=2, route=[Stop(2, 9, DROPOFF, deadline)], onboard={9})
     r = req(0, 0, 1, arrival=590.0)
     assert not _PlanSearch(v, 600.0, net, C).run([r])
-    assert reachable_requests([v], [r], 600.0, net, C) == [([], [])]  # the hit had no plan
+    assert reachable_requests([v], [r], 600.0, net, C) == [[]]  # the hit had no plan
     assert feasible(v, [r], 600.0, net, C) == [null_action(v)]
 
 
@@ -369,7 +371,9 @@ def test_decided_singles_equal_the_plan_search():
 
     Costs in thirds make exact ties; deadlines and pickup due times are set
     exactly on the bounds the three orders of a one-stop route test; node 100
-    has no edge, so a dropoff there is never reached.
+    has no edge, so a dropoff there is never reached.  Routes of two or more
+    stops are decided by the search itself, and their hits with no plan are
+    dropped like the shorter routes'.
     """
     rng = random.Random(7)
     reached = Counter()
@@ -430,26 +434,26 @@ def test_decided_singles_equal_the_plan_search():
             batch.append(req(rid, pickup, dropoff, arrival=due - cons.max_wait))
 
         got = reachable_requests(vehicles, batch, now, net, cons)
-        for v, (requests, singles) in zip(vehicles, got):
+        for v, singles in zip(vehicles, got):
             where = f"trial {trial}, vehicle {v.id}"
             hits = scalar_reachable(v, batch, now, net, cons)
-            if len(v.route) >= 2:  # the search decides
-                assert (list(requests), singles) == (hits, None if hits else ()), where
-                reached["left to the search"] += bool(hits)
-                continue
-            assert [a.requests for a in singles] == [(r,) for r in requests], where
             decided = {a.requests[0].id: a for a in singles}
+            assert [a.requests for a in singles] == [(r,) for r in hits if r.id in decided], where
             for r in hits:
                 search = _PlanSearch(v, now, net, cons)
                 if net.travel_time(r.pickup, r.dropoff) == UNREACHABLE:
                     reached["unreachable dropoff"] += 1
                 if not search.run([r]):
                     assert r.id not in decided, where
+                    reached["long route, no plan"] += len(v.route) >= 2
                     continue
                 single, plan = decided[r.id], search.plan()
                 assert single.plan == plan, where
                 assert [s.deadline.hex() for s in single.plan] == [s.deadline.hex() for s in plan], where
                 assert single.added_delay.hex() == (search.best_time - search.route_end).hex(), where
+                if len(v.route) >= 2:
+                    reached["long route"] += 1
+                    continue
                 if not v.route:
                     reached["empty route"] += 1
                     continue
@@ -475,9 +479,9 @@ def test_decided_singles_equal_the_plan_search():
                     if at_old > old.deadline:
                         reached["old dropoff too late after the pickup"] += 1
                     reached["old dropoff due exactly"] += route_end == old.deadline or at_old == old.deadline
-            assert list(requests) == [r for r in hits if r.id in decided], where
     assert set(reached) == {
-        "left to the search",
+        "long route",
+        "long route, no plan",
         "unreachable dropoff",
         "empty route",
         "order 1 wins",

@@ -321,7 +321,7 @@ REFUSED = {
     "fleet file size": ({"fleet": {"path": "big-fleet.csv"}}, "big-fleet.csv:10001: fleet size"),
     "random fleet capacity": ({"fleet": {"random": {"size": 2, "capacity": 7}}}, "capacity"),
     "fleet file capacity": ({"fleet": {"path": "wide-fleet.csv"}}, "wide-fleet.csv:1: vehicle 0: capacity"),
-    "max_bundle": ({"max_bundle": 5}, "max_bundle"),
+    "max_bundle": ({"max_bundle": 5}, "max_bundle must be in 1..4, got 5"),
     # a negative omega would reward added travel time instead of charging it
     "negative vfa omega": (
         {"vfa": {"kind": "delay", "omega": -5}}, "omega must be finite and nonnegative, got -5.0"

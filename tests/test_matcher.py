@@ -136,6 +136,23 @@ def test_every_matcher_refuses_a_malformed_problem_before_solving(solve):
         solve(problem(huge, range(24)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "solve", [solve_ilp, brute_force_match, lambda p: async_greedy_match(p, 0)]
+)
+def test_every_matcher_refuses_a_non_finite_score(solve, bad):
+    # under a NaN total the solver and the oracle would pick different matchings
+    cands = {0: [NULL, Candidate(frozenset({1}), bad)], 1: [NULL, Candidate(frozenset({1}), 1.0)]}
+    with pytest.raises(InputError, match=rf"vehicle 0 candidate 1 has a non-finite score: {bad}"):
+        solve(problem(cands, [1]))
+    cands = {0: [NULL], 1: [Candidate(frozenset(), bad), Candidate(frozenset({1}), 1.0)]}
+    with pytest.raises(InputError, match=rf"vehicle 1 candidate 0 has a non-finite score: {bad}"):
+        solve(problem(cands, [1]))
+    cands = {0: [NULL, Candidate(frozenset({1}), 1.0), Candidate(frozenset({1}), bad)]}
+    with pytest.raises(InputError, match=rf"vehicle 0 candidate 2 has a non-finite score: {bad}"):
+        solve(problem(cands, [1]))
+
+
 def random_problem(rng: random.Random, tie_heavy: bool) -> MatchProblem:
     n_vehicles = rng.randint(1, 5)
     n_requests = rng.randint(0, 6)
