@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success; 2 invalid manifest or flags; 3 runtime failure (`run`
-and `sweep` also write the window the matcher failed on to
-failed_window_<k>.json); 4 output files already present without --force;
-5 theorem-check failure.
-Every output file is written to a temp name and atomically renamed.
+Exit codes: 0 success; 2 invalid manifest or flags, or an --out that is not
+a directory; 3 runtime failure (`run` and `sweep` also write the window the
+matcher failed on to failed_window_<k>.json); 4 outputs, or an earlier
+failure dump, already present without --force; 5 theorem-check failure.
+A command stops early only by raising `_Exit`, whose message `main` prints
+before returning its code.  Every output file is written to a temp name and
+atomically renamed.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import ConfigError, ContractError, FairDispatchError, InputError, ParseError, WindowSolveError
 from .manifest import horizon_from, load_scenario, network_from, read_manifest, requests_from
-from .matcher import problem_to_json
-from .metrics import METRICS_COLUMNS, write_metrics_csv
+from .matcher import MatchProblem, problem_to_json
+from .metrics import METRICS_COLUMNS
 from .sim import (
     DEFAULT_WEIGHT_LADDER,
     RunResult,
@@ -70,13 +73,39 @@ def _int_in(low: int, high: int):
     return parse
 
 
+class _Exit(Exception):
+    """Stop a command: `main` prints the message to stderr and returns `code`."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
 def _load(load, manifest: str, label: str = "error"):
-    """`load(manifest path)`, or None after reporting a bad manifest or data file."""
+    """`load(manifest path)`; a bad manifest or data file exits 2."""
     try:
         return load(Path(manifest))
     except (ConfigError, InputError, ParseError, OSError) as exc:
-        print(f"{label}: {exc}", file=sys.stderr)
-        return None
+        raise _Exit(2, f"{label}: {exc}") from None
+
+
+def _outputs(args: argparse.Namespace, names: Sequence[str]) -> Path:
+    """The directory `--out`, made if absent; a name may be a glob for earlier failure dumps.
+
+    Any output already there exits 4 unless --force is given, which deletes the dumps.
+    """
+    out = Path(args.out)
+    existing = [path for name in names for path in sorted(out.glob(name))]
+    if existing and not args.force:
+        raise _Exit(4, f"error: outputs already exist in {out}: {[p.name for p in existing]} (use --force)")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _Exit(2, f"error: --out {out} is not a directory: {exc.strerror}") from None
+    for path in existing:
+        if path.name not in names:  # an earlier command's failure dump
+            path.unlink()
+    return out
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -85,21 +114,25 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _guard_outputs(out: Path, names: list[str], force: bool) -> int | None:
-    existing = [name for name in names if (out / name).exists()]
-    if existing and not force:
-        print(f"error: outputs already exist in {out}: {existing} (use --force)", file=sys.stderr)
-        return 4
-    out.mkdir(parents=True, exist_ok=True)
-    return None
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: the header line, then one line per row, each ended by a newline."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
-def _failed(exc: FairDispatchError, out: Path, what: str) -> int:
-    """Report a failed run or sweep, dumping the window the matcher failed on; exit 3."""
-    if isinstance(exc, WindowSolveError):  # a replayable dump of the failed window
-        _atomic_write(out / f"failed_window_{exc.window}.json", problem_to_json(exc.problem) + "\n")
-    print(f"error: {what} failed: {exc}", file=sys.stderr)
-    return 3
+def _write_dump(path: Path, problem: MatchProblem) -> None:
+    """A replayable dump of a window's matching problem."""
+    _atomic_write(path, problem_to_json(problem) + "\n")
+
+
+def _failed(exc: FairDispatchError, out: Path, what: str) -> NoReturn:
+    """Exit 3 from a failed run or sweep, dumping the window the matcher failed on."""
+    if isinstance(exc, WindowSolveError):
+        _write_dump(out / f"failed_window_{exc.window}.json", exc.problem)
+    raise _Exit(3, f"error: {what} failed: {exc}")
 
 
 def _summary_text(result: RunResult) -> str:
@@ -115,37 +148,19 @@ def _summary_text(result: RunResult) -> str:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(load_scenario, args.manifest)
-    if scenario is None:
-        return 2
-    out = Path(args.out)
-    blocked = _guard_outputs(out, ["metrics.csv", "result.json", "summary.txt"], args.force)
-    if blocked is not None:
-        return blocked
+    out = _outputs(args, ["metrics.csv", "result.json", "summary.txt", "failed_window_*.json"])
     try:
         result = run_simulation(
             scenario.config, scenario.net, scenario.partition, scenario.requests, scenario.fleet
         )
     except FairDispatchError as exc:
-        return _failed(exc, out, "simulation")
-    tmp = out / "metrics.csv.tmp"
-    write_metrics_csv(result.window_rows, tmp)
-    os.replace(tmp, out / "metrics.csv")
+        _failed(exc, out, "simulation")
+    rows = (row.as_row() for row in result.window_rows)
+    _atomic_write(out / "metrics.csv", _csv_text(METRICS_COLUMNS, rows))
     _atomic_write(out / "result.json", json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n")
     _atomic_write(out / "summary.txt", _summary_text(result))
     print(_summary_text(result), end="")
     return 0
-
-
-def _sweep_csv(rows: list[SweepRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["beta", "delta", "passenger_plus", "driver_plus", *METRICS_COLUMNS])
-    for row in rows:
-        final = row.result.window_rows[-1]
-        writer.writerow(
-            [repr(row.beta), repr(row.delta), row.passenger_plus, row.driver_plus, *final.as_row()]
-        )
-    return buffer.getvalue()
 
 
 def _frontier_summary(rows: list[SweepRow]) -> str:
@@ -181,12 +196,7 @@ def _frontier_summary(rows: list[SweepRow]) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load(load_scenario, args.manifest)
-    if scenario is None:
-        return 2
-    out = Path(args.out)
-    blocked = _guard_outputs(out, ["sweep.csv", "summary.txt"], args.force)
-    if blocked is not None:
-        return blocked
+    out = _outputs(args, ["sweep.csv", "summary.txt", "failed_window_*.json"])
     try:
         rows = sweep(
             scenario.config,
@@ -200,8 +210,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             jobs=args.jobs,
         )
     except FairDispatchError as exc:
-        return _failed(exc, out, "sweep")
-    _atomic_write(out / "sweep.csv", _sweep_csv(rows))
+        _failed(exc, out, "sweep")
+    header = ["beta", "delta", "passenger_plus", "driver_plus", *METRICS_COLUMNS]
+    points = (
+        [repr(r.beta), repr(r.delta), r.passenger_plus, r.driver_plus, *r.result.window_rows[-1].as_row()]
+        for r in rows
+    )
+    _atomic_write(out / "sweep.csv", _csv_text(header, points))
     summary = _frontier_summary(rows)
     _atomic_write(out / "summary.txt", summary)
     print(summary, end="")
@@ -209,10 +224,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem_check(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    blocked = _guard_outputs(out, ["theorem_report.csv"], args.force)
-    if blocked is not None:
-        return blocked
+    out = _outputs(args, ["theorem_report.csv", "theorem_fail_seed*.json"])
     build = (
         build_passenger_min_unfair_instance
         if args.which == "passenger"
@@ -220,30 +232,20 @@ def _cmd_theorem_check(args: argparse.Namespace) -> int:
     )
     check = check_passenger_theorem if args.which == "passenger" else check_driver_theorem
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["seed", "unfair_at_zero", "improved", "baseline", "best", "detail"])
+    rows = []
     failures = 0
     for seed in range(args.seeds):
         outcome = check(build(seed), ladder=DEFAULT_WEIGHT_LADDER)
         best = max(outcome.ladder_metrics.values()) if outcome.ladder_metrics else float("nan")
-        writer.writerow(
-            [
-                seed,
-                outcome.unfair_at_zero,
-                outcome.improved,
-                repr(outcome.baseline_metric),
-                repr(best),
-                outcome.detail,
-            ]
-        )
+        baseline = repr(outcome.baseline_metric)
+        rows.append([seed, outcome.unfair_at_zero, outcome.improved, baseline, repr(best), outcome.detail])
         if not outcome.passed:
             failures += 1
-            _atomic_write(out / f"theorem_fail_seed{seed}.json", outcome.problem_json + "\n")
-    _atomic_write(out / "theorem_report.csv", buffer.getvalue())
+            _write_dump(out / f"theorem_fail_seed{seed}.json", outcome.problem)
+    header = ["seed", "unfair_at_zero", "improved", "baseline", "best", "detail"]
+    _atomic_write(out / "theorem_report.csv", _csv_text(header, rows))
     if failures:
-        print(f"{args.which} theorem check FAILED for {failures}/{args.seeds} seeds", file=sys.stderr)
-        return 5
+        raise _Exit(5, f"{args.which} theorem check FAILED for {failures}/{args.seeds} seeds")
     print(f"{args.which} theorem check passed for all {args.seeds} seeds")
     return 0
 
@@ -259,45 +261,27 @@ def _synthesise_demand(path: Path) -> list:
 
 def _cmd_gen_demand(args: argparse.Namespace) -> int:
     requests = _load(_synthesise_demand, args.manifest)
-    if requests is None:
-        return 2
-    out = Path(args.out)
-    blocked = _guard_outputs(out, ["requests.csv"], args.force)
-    if blocked is not None:
-        return blocked
-    lines = ["# pickup_id,dropoff_id,arrival_seconds"]
-    lines += [f"{r.pickup},{r.dropoff},{repr(r.arrival)}" for r in requests]
-    _atomic_write(out / "requests.csv", "\n".join(lines) + "\n")
+    out = _outputs(args, ["requests.csv"])
+    rows = ([r.pickup, r.dropoff, repr(r.arrival)] for r in requests)
+    _atomic_write(out / "requests.csv", _csv_text(["# pickup_id", "dropoff_id", "arrival_seconds"], rows))
     print(f"wrote {len(requests)} requests to {out / 'requests.csv'}")
     return 0
 
 
 def _cmd_gen_network(args: argparse.Namespace) -> int:
-    loaded = _load(lambda path: network_from(read_manifest(path), path.parent), args.manifest)
-    if loaded is None:
-        return 2
-    net, partition = loaded
-    out = Path(args.out)
-    blocked = _guard_outputs(out, ["network.csv", "partition.csv"], args.force)
-    if blocked is not None:
-        return blocked
-    net_lines = ["# from_id,to_id,cost_seconds"]
-    net_lines += [
-        f"{u},{v},{int(cost) if float(cost).is_integer() else repr(cost)}"
-        for u, v, cost in net.edges
-    ]
-    _atomic_write(out / "network.csv", "\n".join(net_lines) + "\n")
-    part_lines = ["# location_id,area_id"]
-    part_lines += [f"{loc},{partition.area(loc)}" for loc in net.locations]
-    _atomic_write(out / "partition.csv", "\n".join(part_lines) + "\n")
+    net, partition = _load(lambda path: network_from(read_manifest(path), path.parent), args.manifest)
+    out = _outputs(args, ["network.csv", "partition.csv"])
+    edges = ([u, v, int(cost) if float(cost).is_integer() else repr(cost)] for u, v, cost in net.edges)
+    _atomic_write(out / "network.csv", _csv_text(["# from_id", "to_id", "cost_seconds"], edges))
+    # The partition as loaded: a file may leave a location unmapped or map one off the network.
+    areas = sorted(partition.area_of.items())
+    _atomic_write(out / "partition.csv", _csv_text(["# location_id", "area_id"], areas))
     print(f"wrote {len(net.locations)} locations, {len(net.edges)} edges to {out}")
     return 0
 
 
 def _cmd_validate_config(args: argparse.Namespace) -> int:
     scenario = _load(load_scenario, args.manifest, label="invalid")
-    if scenario is None:
-        return 2
     print(
         f"ok: {len(scenario.net.locations)} locations, "
         f"{scenario.partition.num_areas} areas, "
@@ -360,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except _Exit as stop:
+        print(stop, file=sys.stderr)
+        return stop.code
     except ContractError as exc:
         print(f"error: internal contract violated: {exc}", file=sys.stderr)
         return 3

@@ -45,6 +45,8 @@ class DemandProfile:
     def __post_init__(self) -> None:
         if any(rate < 0 for rate in self.rates.values()):
             raise ConfigError("demand rates must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"demand seed must be nonnegative, got {self.seed}")
         if not self.horizon > 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
         if not self.step_seconds > 0:

@@ -528,6 +528,8 @@ def random_fleet(
     """Fleet with uniformly drawn start locations, reproducible by seed."""
     if not 1 <= size <= MAX_FLEET:
         raise InputError(f"fleet size must be in 1..{MAX_FLEET}, got {size}")
+    if seed < 0:
+        raise InputError(f"fleet seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     locations = net.locations
     return [

@@ -9,11 +9,9 @@ window's equity report and the next window's fairness snapshot share them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from functools import cached_property
 from math import fsum
-from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ContractError, InputError
@@ -192,12 +190,3 @@ class WindowMetrics:
 
 
 METRICS_COLUMNS = tuple(f.name for f in fields(WindowMetrics))
-
-
-def write_metrics_csv(rows: Sequence[WindowMetrics], path: str | Path) -> None:
-    """One row per assignment window; floats at full round-trip precision."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(METRICS_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_row())

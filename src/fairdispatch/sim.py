@@ -29,7 +29,6 @@ from .matcher import (
     MatchProblem,
     Matching,
     async_greedy_match,
-    problem_to_json,
     solve_ilp,
 )
 from .metrics import (
@@ -375,7 +374,7 @@ class TheoremOutcome:
     baseline_metric: float
     ladder_metrics: dict[float, float]
     improved: bool
-    problem_json: str
+    problem: MatchProblem  # window 0's, dumped when the check fails
     detail: str = ""
 
     @property
@@ -544,14 +543,13 @@ def _check_theorem(
         return step_window(vehicles, hist_p, hist_d, inst.requests, 0, inst.net, cfg, inst.partition)
 
     problem0, matching0, *histories0 = window(ScoreWeights())
-    dump = problem_to_json(problem0)
     detail = unfairness(problem0, matching0)
     if detail:
-        return TheoremOutcome(False, 0.0, {}, False, dump, detail)
+        return TheoremOutcome(False, 0.0, {}, False, problem0, detail)
     baseline = metric(*histories0)
     ladder_metrics = {w: metric(*window(weights_at(w))[2:]) for w in ladder}
     improved = any(value > baseline for value in ladder_metrics.values())
-    return TheoremOutcome(True, baseline, ladder_metrics, improved, dump)
+    return TheoremOutcome(True, baseline, ladder_metrics, improved, problem0)
 
 
 def _feasible_ids(problem: MatchProblem, v: int) -> set[int]:

@@ -598,6 +598,21 @@ def test_advance_rejects_invalid_plan(grid3):
         advance(v, bogus, 60.0, grid3)
 
 
+def test_advance_rejects_plan_omitting_a_pickup(grid3):
+    v = VehicleState(0, 0, capacity=2)
+    plan = (Stop(1, 1, PICKUP, 1e9), Stop(2, 1, DROPOFF, 1e9))
+    bogus = Action(requests=(req(1, 1, 2), req(2, 2, 1)), plan=plan, added_delay=0.0)
+    with pytest.raises(ContractError, match=r"^vehicle 0: plan omits pickups for \[2\]$"):
+        advance(v, bogus, 60.0, grid3)
+
+
+def test_advance_rejects_unknown_stop_kind(grid3):
+    v = VehicleState(0, 0, capacity=1)
+    bogus = Action(requests=(), plan=(Stop(1, 1, "detour", 1e9),), added_delay=0.0)
+    with pytest.raises(ContractError, match=r"^vehicle 0: unknown stop kind 'detour'$"):
+        advance(v, bogus, 60.0, grid3)
+
+
 def test_advance_rejects_capacity_violation(grid3):
     v = VehicleState(0, 0, capacity=1)
     plan = (

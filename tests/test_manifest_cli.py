@@ -16,7 +16,7 @@ from fairdispatch.demand import load_requests
 from fairdispatch.errors import ConfigError, ContractError, ParseError
 from fairdispatch.fleet import load_fleet
 from fairdispatch.manifest import load_scenario
-from fairdispatch.matcher import problem_from_json, solve_ilp
+from fairdispatch.matcher import MatchProblem, problem_from_json, solve_ilp
 from fairdispatch.network import grid_partition, load_network, load_partition, make_grid
 from fairdispatch.scoring import load_pricing, load_value_table
 from fairdispatch.sim import SimConfig
@@ -334,6 +334,15 @@ REFUSED = {
         {"network": {"path": "net.csv"}, "partition": {"path": "negative.csv"}},
         "negative.csv: area ids must lie in [0, 1)",
     ),
+    # numpy's generators take no negative seed
+    "negative fleet seed": (
+        {"fleet": {"random": {"size": 2, "capacity": 2, "seed": -1}}},
+        "fleet seed must be nonnegative, got -1",
+    ),
+    "negative demand seed": (
+        {"requests": {"profile": {"rates": [[0, 0, 0.6]], "seed": -3}}},
+        "demand seed must be nonnegative, got -3",
+    ),
 }
 
 
@@ -406,6 +415,42 @@ def test_run_refuses_overwrite_without_force(tmp_path):
     assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 4
     assert (out / "metrics.csv").read_bytes() == before
     assert main(["run", "--manifest", str(manifest), "--out", str(out), "--force"]) == 0
+
+
+def command_flags(command: str, manifest: Path) -> list[str]:
+    """A short, passing invocation of `command`, all but its --out."""
+    if command == "theorem-check":
+        return [command, "--which", "driver", "--seeds", "1"]
+    if command == "sweep":
+        return [command, "--manifest", str(manifest), "--beta", "0", "--delta", "0", "--variant", "si"]
+    return [command, "--manifest", str(manifest)]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "theorem-check", "gen-demand", "gen-network"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    argv = [*command_flags(command, write_manifest(tmp_path / "m.json")), "--out", str(taken)]
+    for flags in ([], ["--force"]):
+        assert main([*argv, *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {taken} is not a directory: ")
+    assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "command, dump",
+    [("run", "failed_window_3.json"), ("sweep", "failed_window_0.json"), ("theorem-check", "theorem_fail_seed7.json")],
+)
+def test_stale_failure_dump_counts_as_an_output(tmp_path, capsys, command, dump):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / dump).write_text("{}\n")
+    argv = [*command_flags(command, write_manifest(tmp_path / "m.json", horizon=120)), "--out", str(out)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"error: outputs already exist in {out}: ['{dump}'] (use --force)\n"
+    assert (out / dump).exists()
+    assert main([*argv, "--force"]) == 0
+    assert not (out / dump).exists()
 
 
 def test_run_metrics_byte_identical_across_runs(tmp_path):
@@ -605,7 +650,7 @@ def test_theorem_check_failure_dumps_instance(tmp_path, monkeypatch):
     from fairdispatch.sim import TheoremOutcome
 
     def always_fail(inst, ladder):
-        return TheoremOutcome(True, 0.5, {1.0: 0.5}, False, '{"vehicles": []}')
+        return TheoremOutcome(True, 0.5, {1.0: 0.5}, False, MatchProblem.build({}, []))
 
     monkeypatch.setattr(cli, "check_passenger_theorem", always_fail)
     out = tmp_path / "thm"
@@ -636,6 +681,26 @@ def test_gen_network_and_demand_roundtrip(tmp_path):
     ] == [(r.pickup, r.dropoff, r.arrival) for r in original.requests]
     out = tmp_path / "replay_out"
     assert main(["run", "--manifest", str(replay), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        "0,0\n1,0\n2,1\n",  # location 3 of the 2x2 grid has no area
+        "0,0\n1,0\n2,1\n3,1\n7,1\n",  # location 7 is off the network
+    ],
+)
+def test_gen_network_writes_the_partition_it_loaded(tmp_path, records):
+    (tmp_path / "part.csv").write_text(records)
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        network={"grid": {"rows": 2, "cols": 2, "edge_cost": 60}},
+        partition={"path": "part.csv"},
+    )
+    gen = tmp_path / "gen"
+    assert main(["gen-network", "--manifest", str(manifest), "--out", str(gen)]) == 0
+    assert (gen / "partition.csv").read_text() == "# location_id,area_id\n" + records
+    assert load_partition(gen / "partition.csv") == load_partition(tmp_path / "part.csv")
 
 
 def test_gen_demand_requires_profile(tmp_path):

@@ -6,10 +6,12 @@ import sys
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from fairdispatch.cli import _csv_text
 from fairdispatch.demand import Request
 from fairdispatch.errors import ContractError, InputError
 from fairdispatch.matcher import Matching
 from fairdispatch.metrics import (
+    METRICS_COLUMNS,
     DriverHistory,
     EquityReport,
     PassengerHistory,
@@ -18,7 +20,6 @@ from fairdispatch.metrics import (
     gini,
     update_driver_history,
     update_passenger_history,
-    write_metrics_csv,
 )
 from fairdispatch.network import GroupId
 
@@ -200,11 +201,9 @@ def test_equity_report_of_empty_histories_is_vacuous():
     assert equity_report(DriverHistory({})) == EquityReport(1.0, 0.0, 0.0, None)
 
 
-def test_metrics_csv_golden(tmp_path):
+def test_metrics_csv_golden():
     rows = [WindowMetrics(0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0)]
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(rows, path)
-    text = path.read_text()
+    text = _csv_text(METRICS_COLUMNS, (row.as_row() for row in rows))
     assert text.splitlines()[0] == (
         "window_index,overall_service_rate,passenger_f_gini,passenger_min,"
         "passenger_var,driver_f_gini,driver_min_raw,driver_var"
