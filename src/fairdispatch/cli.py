@@ -3,7 +3,8 @@
 Exit codes: 0 success; 2 invalid manifest or flags, or an --out that is not
 a directory; 3 runtime failure (`run` and `sweep` also write the window the
 matcher failed on to failed_window_<k>.json); 4 outputs, or an earlier
-failure dump, already present without --force; 5 theorem-check failure.
+failure dump, already present without --force, which deletes them before
+the command runs; 5 theorem-check failure.
 A command stops early only by raising `_Exit`, whose message `main` prints
 before returning its code.  Every output file is written to a temp name and
 atomically renamed.
@@ -92,7 +93,8 @@ def _load(load, manifest: str, label: str = "error"):
 def _outputs(args: argparse.Namespace, names: Sequence[str]) -> Path:
     """The directory `--out`, made if absent; a name may be a glob for earlier failure dumps.
 
-    Any output already there exits 4 unless --force is given, which deletes the dumps.
+    Any output already there exits 4 unless --force is given, which deletes
+    them all, so a forced command that fails leaves none of an earlier one's.
     """
     out = Path(args.out)
     existing = [path for name in names for path in sorted(out.glob(name))]
@@ -103,8 +105,7 @@ def _outputs(args: argparse.Namespace, names: Sequence[str]) -> Path:
     except OSError as exc:
         raise _Exit(2, f"error: --out {out} is not a directory: {exc.strerror}") from None
     for path in existing:
-        if path.name not in names:  # an earlier command's failure dump
-            path.unlink()
+        path.unlink()
     return out
 
 

@@ -21,9 +21,14 @@ search's own float expressions, prunes and tie-break, so they equal its
 plans to the bit.  The search decides the one-request plans of routes of two
 or more stops, and every bundle.
 
+A vehicle that reaches no request takes its null action with no enumeration
+or scoring: the window does not call `feasible_actions` for it, and
+`advance(v, None, ...)` moves it along the route it holds, as it does every
+vehicle whose matching picks the null action, with no copy and no plan check.
+
 That search is factorial in the number of stops, so capacity and bundle
 size have ceilings (MAX_CAPACITY, MAX_BUNDLE), and so does the fleet
-(MAX_FLEET), since every vehicle is enumerated in every window.
+(MAX_FLEET), since every vehicle is checked in every window.
 """
 
 from __future__ import annotations
@@ -44,17 +49,23 @@ from .network import StreetNetwork
 PICKUP = "pickup"
 DROPOFF = "dropoff"
 
-# The plan search tries every order of a vehicle's stops: its onboard
-# passengers' dropoffs plus two stops per bundled request, so its work grows
-# factorially with capacity plus bundle size.  With deadlines that prune
-# nothing (10x10 grid, worst of five draws), one search took 169 ms at
-# capacity 6 and bundle 4 (ten stops), 9 ms at capacity 4 and bundle 4, and
-# 1.0 s at capacity 8 and bundle 2, 5.5 s at capacity 8 and bundle 4.
+# The plan search tries every order of a vehicle's stops: the stops of the
+# route it holds plus two per bundled request, so its work grows factorially
+# with the route's length plus bundle size.  Capacity bounds the riders on
+# board at once, not the stops a route queues: routes also queue riders past
+# capacity (805 of 288,000 vehicle-windows of a city-scale day under the
+# exact matcher), so these ceilings bound a route of onboard dropoffs only,
+# and a longer route is bounded by its deadlines alone.  With deadlines that
+# prune nothing (10x10 grid, worst of five draws), a search over the onboard
+# dropoffs plus a bundle took 169 ms at capacity 6 and bundle 4 (ten stops),
+# 9 ms at capacity 4 and bundle 4, and 1.0 s at capacity 8 and bundle 2,
+# 5.5 s at capacity 8 and bundle 4.
 MAX_CAPACITY = 6
 MAX_BUNDLE = 4
-# Every vehicle is enumerated, scored, matched and advanced in every window:
-# at 10,000 vehicles `random_fleet` takes 0.2 s and 4.5 MB and one window's
-# problem with no requests 0.08 s; at 100,000 that window alone takes 0.95 s.
+# Every vehicle is checked, matched and advanced in every window: at 10,000
+# vehicles `random_fleet` takes 0.2 s and 4.5 MB, and one window's problem
+# with no requests took 0.08 s while every vehicle was also enumerated and
+# scored (0.004 s without); at 100,000 that window alone took 0.95 s.
 MAX_FLEET = 10_000
 
 
@@ -453,18 +464,22 @@ def _validate_plan(v: VehicleState, chosen: Action) -> None:
 
 
 def advance(
-    v: VehicleState, chosen: Action, dt: float, net: StreetNetwork
+    v: VehicleState, chosen: Action | None, dt: float, net: StreetNetwork
 ) -> list[int]:
     """Adopt the chosen plan and travel for `dt` seconds; returns completions.
 
-    The vehicle walks shortest paths node by node; partial progress along an
-    edge is retained, so splitting an interval across calls lands the vehicle
-    in the same state as one combined call.
+    `chosen` None keeps the route the vehicle holds, as its null action
+    would, with no check and no copy: a checked plan stays valid while this
+    function only pops stops off its front.  The vehicle walks shortest paths
+    node by node; partial progress along an edge is retained, so splitting an
+    interval across calls lands the vehicle in the same state as one combined
+    call.
     """
     if dt < 0:
         raise InputError(f"dt must be nonnegative, got {dt}")
-    _validate_plan(v, chosen)
-    v.route = list(chosen.plan)
+    if chosen is not None:
+        _validate_plan(v, chosen)
+        v.route = list(chosen.plan)
     completed: list[int] = []
     remaining = dt
 

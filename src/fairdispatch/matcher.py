@@ -122,18 +122,35 @@ class Matching:
     total_score: float
 
     def served_request_ids(self) -> frozenset[int]:
-        assigned = self.assigned
-        # A sparse matching stores only the vehicles that serve requests.
-        served = assigned._values.values() if isinstance(assigned, _ByVehicle) else assigned.values()
-        return frozenset().union(*served)
+        return frozenset().union(*_stored(self.assigned, _NO_REQUESTS).values())
+
+    def nonzero_choices(self) -> Mapping[int, int]:
+        """Each vehicle whose chosen candidate index is not 0, with that index."""
+        return _stored(self.chosen, 0)
+
+
+def _stored(values: Mapping, default) -> Mapping:
+    """The entries of a per-vehicle mapping that differ from `default`; a sparse one stores just these."""
+    if isinstance(values, _ByVehicle):
+        return values._values
+    return {v: value for v, value in values.items() if value != default}
 
 
 def _masks(p: MatchProblem) -> dict[int, list[tuple[int, float]]]:
-    """Each vehicle's (request bitmask, score) rows; refuses a malformed problem as it reads it."""
+    """Each vehicle's (request bitmask, score) rows; refuses a malformed problem as it reads it.
+
+    Vehicles that share one candidate tuple share its rows, which are read
+    and checked once, at the first of them.
+    """
     bit = {rid: 1 << i for i, rid in enumerate(sorted(p.batch_ids))}
     out: dict[int, list[tuple[int, float]]] = {}
+    rows_of: dict[int, list[tuple[int, float]]] = {}  # by id of the candidate tuple
     for v in p.vehicle_ids:
         cands = p.candidates[v]
+        rows = rows_of.get(id(cands))
+        if rows is not None:
+            out[v] = rows
+            continue
         if not any(not c.requests for c in cands):
             raise InputError(f"vehicle {v} has no null candidate")
         rows = []
@@ -150,7 +167,7 @@ def _masks(p: MatchProblem) -> dict[int, list[tuple[int, float]]]:
                 j = cands.index(c)
                 raise InputError(f"vehicle {v} candidate {j} has a non-finite score: {c.score}")
             rows.append((mask, c.score))
-        out[v] = rows
+        out[v] = rows_of[id(cands)] = rows
     return out
 
 

@@ -12,7 +12,8 @@ The histories do not change within a window, so both gaps are computed once
 per window into a `FairnessSnapshot` (clipped there for the plus variants)
 and every action's incentives are dictionary lookups into it.  The snapshot
 reads each history's kept view: `rates` and `mean_rate`, `scaled` and
-`mean_scaled`.
+`mean_scaled`.  `null_score` gives a vehicle that reaches no request the
+score of its null action without building the action.
 """
 
 from __future__ import annotations
@@ -89,15 +90,33 @@ def value_estimate(
         return 0.0
     if vfa.kind == "delay":
         return -vfa.omega * a.added_delay
+    end_location = a.plan[-1].location if a.plan else v.location
+    return _table_value(vfa, end_location, len(v.onboard) + len(a.requests), now, partition)
+
+
+def _table_value(
+    vfa: ValueFunction, location: int, onboard: int, now: float, partition: AreaPartition | None
+) -> float:
     if partition is None:
         raise InputError("table value function requires an area partition")
-    end_location = a.plan[-1].location if a.plan else v.location
-    key = (
-        partition.area(end_location),
-        len(v.onboard) + len(a.requests),
-        int((now % SECONDS_PER_DAY) // vfa.bucket_seconds),
-    )
+    key = (partition.area(location), onboard, int((now % SECONDS_PER_DAY) // vfa.bucket_seconds))
     return vfa.table.get(key, 0.0)
+
+
+def null_score(
+    v: VehicleState, vfa: ValueFunction, now: float = 0.0, partition: AreaPartition | None = None
+) -> float:
+    """`total_score` of `null_action(v)` at any weights and snapshot, to the bit.
+
+    The null action serves nothing, so its reward and both incentives add
+    zeros, and the null plan is the route the vehicle holds; no action is
+    built.  Only a table value can be nonzero, and `+ 0.0` turns a table's
+    -0.0 into the 0.0 those additions make of it.
+    """
+    if vfa.kind != "table":
+        return 0.0
+    end_location = v.route[-1].location if v.route else v.location
+    return _table_value(vfa, end_location, len(v.onboard), now, partition) + 0.0
 
 
 def base_score(

@@ -5,6 +5,11 @@ arrived during the window each vehicle can reach in time, enumerates
 feasible actions per vehicle from those, scores them against one fairness
 snapshot frozen at window start, solves the assignment, advances every
 vehicle by the window length, and updates both fairness histories once.
+A vehicle that reaches no request takes its null action with no enumeration
+or scoring, and it, like every vehicle whose matching picks the null action,
+moves along the route it holds with no plan check.  Its null candidate stays
+in the problem, so matchers, dumps and the theorem harnesses see every
+vehicle.
 Requests left unmatched at the end of their window are dropped.
 `run_simulation` batches the requests and steps every window in turn; the
 theorem harnesses step a single window 0 and read the histories it returns.
@@ -17,7 +22,7 @@ import os
 import random
 import time
 from collections import defaultdict
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -47,6 +52,7 @@ from .scoring import (
     base_score,
     fairness_snapshot,
     immediate_reward,
+    null_score,
     total_score,
 )
 
@@ -137,15 +143,29 @@ def build_window_problem(
     hist_d: DriverHistory,
     partition: AreaPartition | None,
 ) -> tuple[MatchProblem, dict[int, list]]:
-    """Enumerate and score candidate actions for one assignment window."""
+    """Enumerate and score candidate actions for one assignment window.
+
+    Returns the problem and the actions, in candidate order, of each vehicle
+    that reaches a request.  A vehicle that reaches none has no entry: its one
+    candidate is its null action, scored by `null_score` and shared, as one
+    tuple per score, with every such vehicle.
+    """
     constraints = cfg.constraints()
     w = cfg.weights
     # At weights 0/0 total_score is base_score, which needs no snapshot.
     snapshot = fairness_snapshot(hist_p, hist_d, w) if w.beta or w.delta else None
     actions_by: dict[int, list] = {}
-    candidates: dict[int, list[Candidate]] = {}
+    candidates: dict[int, Sequence[Candidate]] = {}
+    null_rows: dict[float, tuple[Candidate]] = {}
     reachable = reachable_requests(vehicles, batch, now, net, constraints)
     for v, singles in zip(vehicles, reachable):
+        if not singles:
+            score = null_score(v, cfg.vfa, now, partition)
+            rows = null_rows.get(score)
+            if rows is None:
+                rows = null_rows[score] = (Candidate(frozenset(), score),)
+            candidates[v.id] = rows
+            continue
         acts = feasible_actions(v, singles, now, net, constraints)
         rows = []
         for a in acts:
@@ -189,11 +209,15 @@ def step_window(
         matching = _solve(problem, cfg, k)
     except ContractError as exc:
         raise WindowSolveError(str(exc), k, problem) from exc
-    # The histories never read vehicle state, so vehicles move first.
+    # The histories never read vehicle state, so vehicles move first.  Index 0
+    # is the null action, whose plan is the route the vehicle holds: it earns
+    # nothing and keeps that route.
     rewards: dict[int, float] = {}
+    moved = matching.nonzero_choices()
     for v in vehicles:
-        chosen = actions_by[v.id][matching.chosen[v.id]]
-        rewards[v.id] = immediate_reward(chosen, cfg.pricing)
+        i = moved.get(v.id)
+        chosen = None if i is None else actions_by[v.id][i]
+        rewards[v.id] = 0.0 if chosen is None else immediate_reward(chosen, cfg.pricing)
         advance(v, chosen, cfg.window_len, net)
     hist_p = update_passenger_history(hist_p, batch, matching)
     return problem, matching, hist_p, update_driver_history(hist_d, rewards)

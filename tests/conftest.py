@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import fairdispatch.sim as sim_module
+from fairdispatch.fleet import null_action
 from fairdispatch.network import grid_partition, make_grid
 from fairdispatch.scoring import ScoreWeights, fairness_snapshot, total_score
 
@@ -27,9 +28,12 @@ def halves4():
 def zero_weight_scores_checked(monkeypatch):
     """Checks every window the run loop builds against the fairness objective at weights 0/0.
 
-    Each candidate's score must equal `total_score` on that window's own
-    fairness snapshot at zero weights, under the plain and the plus variants.
-    Returns the list of checked windows' candidate counts, one entry per window.
+    Each candidate's requests and score must equal the action's and its
+    `total_score` on that window's own fairness snapshot at zero weights,
+    under the plain and the plus variants, scores compared by `float.hex`.  A
+    vehicle with no entry in `actions_by` reaches no request, so its actions
+    are its null action alone.  Returns the list of checked windows'
+    candidate counts, one entry per window.
     """
     checked: list[int] = []
     build = sim_module.build_window_problem
@@ -41,10 +45,11 @@ def zero_weight_scores_checked(monkeypatch):
             snapshot = fairness_snapshot(hist_p, hist_d, w)
             for v in vehicles:
                 expected = [
-                    total_score(v, a, cfg.vfa, snapshot, w, now, partition, cfg.pricing)
-                    for a in actions_by[v.id]
+                    (a.request_ids(), total_score(v, a, cfg.vfa, snapshot, w, now, partition, cfg.pricing).hex())
+                    for a in actions_by.get(v.id, [null_action(v)])
                 ]
-                assert [c.score for c in problem.candidates[v.id]] == expected, (now, v.id)
+                got = [(c.requests, c.score.hex()) for c in problem.candidates[v.id]]
+                assert got == expected, (now, v.id)
         checked.append(sum(len(rows) for rows in problem.candidates.values()))
         return problem, actions_by
 

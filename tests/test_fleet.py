@@ -587,6 +587,38 @@ def test_advance_conserves_requests():
         assert v.onboard == set()
 
 
+def test_keeping_the_route_equals_advancing_the_null_action():
+    """`advance(v, None, ...)` leaves the vehicle, and returns the completions,
+    exactly as advancing its null action does: idle, route-holding, carrying
+    and mid-edge vehicles, over intervals that end before, on and past a node."""
+    rng = random.Random(26)
+    net = make_grid(3, 4, 60.0)
+    seen = Counter()
+    for trial in range(400):
+        v = VehicleState(0, rng.randrange(12), capacity=3)
+        now = 0.0
+        for step in range(rng.randint(0, 3)):
+            now += 60.0
+            batch = [
+                req(10 * step + i, *rng.sample(range(12), 2), arrival=now - rng.uniform(0.0, 60.0))
+                for i in range(rng.randint(0, 3))
+            ]
+            actions = feasible(v, batch, now, net, C)
+            advance(v, rng.choice(actions), float(rng.choice([15, 30, 60, 90, 150])), net)
+        kept, null = v.clone(), v.clone()
+        dt = float(rng.choice([0, 15, 30, 60, 90, 200]))
+        completed = advance(kept, None, dt, net)
+        assert completed == advance(null, null_action(null), dt, net), trial
+        assert kept == null, trial
+        seen["mid-edge" if v.next_node is not None else "at a node"] += 1
+        seen["route" if v.route else "idle"] += 1
+        seen["carrying"] += bool(v.onboard)
+        seen["completes"] += bool(completed)
+        seen["ends mid-edge"] += kept.next_node is not None
+    cases = ["mid-edge", "at a node", "route", "idle", "carrying", "completes", "ends mid-edge"]
+    assert all(seen[key] for key in cases), seen
+
+
 def test_advance_rejects_invalid_plan(grid3):
     v = VehicleState(0, 0, capacity=1)
     bogus = Action(

@@ -453,6 +453,26 @@ def test_stale_failure_dump_counts_as_an_output(tmp_path, capsys, command, dump)
     assert not (out / dump).exists()
 
 
+@pytest.mark.parametrize(
+    "command, outputs",
+    [("run", ["metrics.csv", "result.json", "summary.txt"]), ("sweep", ["summary.txt", "sweep.csv"])],
+)
+def test_failed_forced_command_leaves_no_earlier_output(tmp_path, monkeypatch, capsys, command, outputs):
+    out = tmp_path / "out"
+    argv = [*command_flags(command, write_manifest(tmp_path / "m.json", horizon=120)), "--out", str(out)]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == outputs
+
+    def broken(problem):
+        raise ContractError("no matching")
+
+    monkeypatch.setattr(fairdispatch.sim, "solve_ilp", broken)
+    assert main([*argv, "--force"]) == 3
+    assert capsys.readouterr().err.endswith("no matching\n")
+    assert sorted(p.name for p in out.iterdir()) == ["failed_window_0.json"]
+    assert problem_from_json(out / "failed_window_0.json").vehicle_ids == (0, 1)
+
+
 def test_run_metrics_byte_identical_across_runs(tmp_path):
     manifest = write_manifest(tmp_path / "m.json")
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

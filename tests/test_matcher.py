@@ -153,6 +153,22 @@ def test_every_matcher_refuses_a_non_finite_score(solve, bad):
         solve(problem(cands, [1]))
 
 
+@pytest.mark.parametrize(
+    "solve", [solve_ilp, brute_force_match, lambda p: async_greedy_match(p, 0)]
+)
+def test_a_shared_candidate_tuple_is_read_once_and_refused_at_its_first_vehicle(solve):
+    shared = (NULL,)
+    masks = matcher._masks(MatchProblem.build({v: shared for v in (4, 2, 9)}, []))
+    assert masks[2] is masks[4] is masks[9] == [(0, 0.0)]
+    for bad, message in [
+        ((Candidate(frozenset(), float("nan")),), "vehicle 2 candidate 0 has a non-finite score"),
+        ((Candidate(frozenset({1}), 1.0),), "vehicle 2 has no null candidate"),
+        ((NULL, Candidate(frozenset({7}), 1.0)), r"vehicle 2 references requests outside the batch: \[7\]"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            solve(MatchProblem.build({0: (NULL,), 9: bad, 2: bad, 4: bad}, [1]))
+
+
 def random_problem(rng: random.Random, tie_heavy: bool) -> MatchProblem:
     n_vehicles = rng.randint(1, 5)
     n_requests = rng.randint(0, 6)

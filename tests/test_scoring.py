@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from fairdispatch.demand import Request
 from fairdispatch.errors import ConfigError, InputError, ParseError
-from fairdispatch.fleet import DROPOFF, PICKUP, Action, Stop, VehicleState
+from fairdispatch.fleet import DROPOFF, PICKUP, Action, Stop, VehicleState, null_action
 from fairdispatch.metrics import DriverHistory, PassengerHistory
 from fairdispatch.network import GroupId, grid_partition
 from fairdispatch.scoring import (
@@ -20,8 +21,10 @@ from fairdispatch.scoring import (
     immediate_reward,
     load_pricing,
     load_value_table,
+    null_score,
     passenger_incentive,
     total_score,
+    value_estimate,
 )
 
 G_LOW = GroupId(0, 0)
@@ -364,6 +367,78 @@ def test_snapshot_scores_equal_history_scores_exactly():
             got = total_score(v, a, vfa, gaps, w, now, GRID_PART, pricing)
             want = ref_total_score(v, a, vfa, hist_p, hist_d, w, now, GRID_PART, pricing)
             assert got == want, case
+
+
+def random_vehicle(rng: random.Random, drivers: int) -> VehicleState:
+    """Idle or holding a route of up to four stops, carrying up to three riders, maybe mid-edge."""
+    onboard = set(rng.sample(range(100, 110), rng.randint(0, 3)))
+    route = [
+        Stop(rng.randrange(16), rng.randrange(100, 110), rng.choice([PICKUP, DROPOFF]), 1e9)
+        for _ in range(rng.choice([0, 0, 1, 2, 4]))
+    ]
+    v = VehicleState(rng.randrange(drivers), rng.randrange(16), 4, route, onboard)
+    if rng.random() < 0.3:
+        v.next_node, v.edge_progress = rng.randrange(16), rng.uniform(0.0, 60.0)
+    return v
+
+
+def random_null_vfa(rng: random.Random) -> ValueFunction:
+    """`random_vfa`, or a table over every key a random vehicle holds, some at -0.0 or 0.0."""
+    if rng.random() < 0.5:
+        return random_vfa(rng)
+    table = {
+        (area, onboard, bucket): rng.choice([rng.uniform(-2.0, 2.0), -0.0, 0.0])
+        for area in range(4)
+        for onboard in range(4)
+        for bucket in range(24)
+        if rng.random() < 0.9
+    }
+    return ValueFunction(kind="table", table=table)
+
+
+def test_null_score_equals_the_null_actions_total_score():
+    """A vehicle that reaches no request is scored without its null action, to the bit."""
+    rng = random.Random(26)
+    seen = Counter()
+    for case in range(3000):
+        drivers = rng.randint(1, 6)
+        hist_p = random_passenger_history(rng)
+        hist_d = random_driver_history(rng, drivers)
+        w = ScoreWeights(
+            beta=rng.choice([0.0, 1.0, 20.0, rng.uniform(0.0, 50.0)]),
+            delta=rng.choice([0.0, 1.0, 20.0, rng.uniform(0.0, 50.0)]),
+            passenger_plus=rng.random() < 0.5,
+            driver_plus=rng.random() < 0.5,
+        )
+        vfa = random_null_vfa(rng)
+        now = rng.choice([0.0, 3600.0, rng.uniform(0.0, 2 * 86400.0)])
+        v = random_vehicle(rng, drivers)
+        pricing = {rid: rng.uniform(0.5, 3.0) for rid in range(100, 110)} if rng.random() < 0.5 else None
+        null = null_action(v)
+        gaps = fairness_snapshot(hist_p, hist_d, w)
+        want = total_score(v, null, vfa, gaps, w, now, GRID_PART, pricing)
+        got = null_score(v, vfa, now, GRID_PART)
+        assert got.hex() == want.hex(), case
+        if not w.beta and not w.delta:
+            assert got.hex() == base_score(v, null, vfa, now, GRID_PART, pricing).hex(), case
+        seen[vfa.kind, got != 0.0] += 1
+        value = value_estimate(vfa, v, null, now, GRID_PART)
+        seen["-0.0 read", vfa.kind] += value == 0.0 and math.copysign(1.0, value) < 0
+        seen["route", bool(v.route)] += 1
+        seen["mid-edge"] += v.next_node is not None
+        seen["negative driver gap"] += bool(w.delta) and gaps.driver_gap[v.id] < 0
+    assert all(seen[key] for key in [("zero", False), ("delay", False), ("table", False), ("table", True)])
+    assert seen["route", True] and seen["route", False] and seen["mid-edge"]
+    assert seen["negative driver gap"] and seen["-0.0 read", "delay"] and seen["-0.0 read", "table"]
+
+
+def test_null_score_of_a_negative_zero_table_value_is_zero():
+    v = VehicleState(0, 5, 2, [Stop(3, 1, DROPOFF, 1e9)], {1})
+    vfa = ValueFunction(kind="table", table={(GRID_PART.area(3), 1, 0): -0.0})
+    assert null_score(v, vfa, 0.0, GRID_PART).hex() == (0.0).hex()
+    assert value_estimate(vfa, v, null_action(v), 0.0, GRID_PART).hex() == (-0.0).hex()
+    with pytest.raises(InputError, match="requires an area partition"):
+        null_score(v, vfa)
 
 
 def test_snapshot_unseen_and_zero_demand_groups_read_zero():

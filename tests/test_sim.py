@@ -209,6 +209,69 @@ def test_no_plan_search_for_one_request_on_a_short_route(monkeypatch):
     assert all(searches[key] for key in [(False, 1), (True, 2), (True, 3), (False, 2)]), searches
 
 
+def test_vehicles_that_reach_nothing_are_neither_enumerated_nor_scored_nor_rechecked(monkeypatch):
+    """Ten windows of a seeded 10x10 city, weighted and at 0/0: only vehicles
+    with two or more candidates reach `feasible_actions` and the scorer, only
+    vehicles that leave candidate index 0 have a plan checked, and vehicles
+    that reach nothing share their one null candidate."""
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [
+        (sim_module, "feasible_actions"),
+        (sim_module, "total_score"),
+        (sim_module, "base_score"),
+        (fleet_module, "_validate_plan"),
+    ]:
+        counting(module, name)
+    problems, matchings = [], []
+    build, solve = sim_module.build_window_problem, sim_module.async_greedy_match
+
+    def kept_build(*args):
+        problems.append(build(*args))
+        return problems[-1]
+
+    def kept_solve(*args):
+        matchings.append(solve(*args))
+        return matchings[-1]
+
+    monkeypatch.setattr(sim_module, "build_window_problem", kept_build)
+    monkeypatch.setattr(sim_module, "async_greedy_match", kept_solve)
+    net = make_grid(10, 10, 40.0)
+    part = grid_partition(10, 10, 5, 5)
+    profile = DemandProfile({GroupId(o, d): 1.0 for o in range(4) for d in range(4)}, horizon=600.0, seed=4)
+    fleet = random_fleet(40, 2, net, seed=5)
+    for weights in (ScoreWeights(20.0, 20.0), ScoreWeights()):
+        cfg = SimConfig(window_len=60.0, horizon=600.0, matcher="async_greedy", seed=4, weights=weights)
+        run_simulation(cfg, net, part, synth_requests(profile, net, part), fleet)
+    enumerated = scored = moved = null_only = 0
+    for (problem, actions_by), matching in zip(problems, matchings, strict=True):
+        for v, rows in problem.candidates.items():
+            if len(rows) == 1:
+                null_only += 1
+                assert v not in actions_by and not rows[0].requests
+            else:
+                enumerated += 1
+                scored += len(rows)
+                assert len(actions_by[v]) == len(rows)
+        shared = {id(rows) for rows in problem.candidates.values() if len(rows) == 1}
+        assert len(shared) <= 1  # every null score is 0.0 under the zero value function
+        moved += sum(1 for v in problem.vehicle_ids if matching.chosen[v])
+    assert calls["feasible_actions"] == enumerated
+    assert calls["total_score"] + calls["base_score"] == scored
+    assert calls["base_score"] and calls["total_score"]
+    assert calls["_validate_plan"] == moved > 0
+    assert null_only > enumerated > 0
+
+
 def test_stepping_the_windows_by_hand_repeats_the_run():
     net, part, requests, fleet = small_world(seed=2)
     cfg = small_cfg(weights=ScoreWeights(beta=5.0, delta=5.0))
