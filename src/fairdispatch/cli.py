@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success; 2 invalid manifest or flags, or an --out that is not
-a directory; 3 runtime failure (`run` and `sweep` also write the window the
-matcher failed on to failed_window_<k>.json); 4 outputs, or an earlier
+Exit codes: 0 success; 2 invalid manifest or flags, an --out that is not a
+directory, or an output there that is not a regular file; 3 runtime failure
+(`run` and `sweep` also write the window the matcher failed on to
+failed_window_<k>.json); 4 outputs, or an earlier
 failure dump, already present without --force, which deletes them before
 the command runs; 5 theorem-check failure.
 A command stops early only by raising `_Exit`, whose message `main` prints
@@ -95,9 +96,13 @@ def _outputs(args: argparse.Namespace, names: Sequence[str]) -> Path:
 
     Any output already there exits 4 unless --force is given, which deletes
     them all, so a forced command that fails leaves none of an earlier one's.
+    An output there that is not a regular file exits 2 before any is deleted.
     """
     out = Path(args.out)
     existing = [path for name in names for path in sorted(out.glob(name))]
+    odd = [path.name for path in existing if not path.is_file()]
+    if odd:
+        raise _Exit(2, f"error: outputs in {out} are not regular files: {odd}")
     if existing and not args.force:
         raise _Exit(4, f"error: outputs already exist in {out}: {[p.name for p in existing]} (use --force)")
     try:

@@ -21,10 +21,10 @@ search's own float expressions, prunes and tie-break, so they equal its
 plans to the bit.  The search decides the one-request plans of routes of two
 or more stops, and every bundle.
 
-A vehicle that reaches no request takes its null action with no enumeration
-or scoring: the window does not call `feasible_actions` for it, and
-`advance(v, None, ...)` moves it along the route it holds, as it does every
-vehicle whose matching picks the null action, with no copy and no plan check.
+The null action, which keeps the route the vehicle holds, is never built:
+`feasible_actions` returns only actions that serve requests, the window
+scores the null action with `scoring.null_score`, and `advance(v, None, ...)`
+moves the vehicle along its route with no copy and no plan check.
 
 That search is factorial in the number of stops, so capacity and bundle
 size have ceilings (MAX_CAPACITY, MAX_BUNDLE), and so does the fleet
@@ -132,11 +132,6 @@ class VehicleState:
         return self.next_node, net.travel_time(self.location, self.next_node) - self.edge_progress
 
 
-# Shared by every null action: each empty frozenset would cost 216 bytes,
-# and every vehicle has a null candidate in every window.
-_NO_REQUESTS: frozenset[int] = frozenset()
-
-
 @dataclass(frozen=True)
 class Action:
     """A request subset plus the stop sequence that realises it."""
@@ -146,14 +141,7 @@ class Action:
     added_delay: float
 
     def request_ids(self) -> frozenset[int]:
-        if not self.requests:
-            return _NO_REQUESTS
         return frozenset(r.id for r in self.requests)
-
-
-def null_action(v: VehicleState) -> Action:
-    """The always-available action: keep serving the current route."""
-    return Action(requests=(), plan=tuple(v.route), added_delay=0.0)
 
 
 class _PlanSearch:
@@ -408,17 +396,17 @@ def feasible_actions(
     net: StreetNetwork,
     constraints: RideConstraints,
 ) -> list[Action]:
-    """All subsets of the singles' requests the vehicle can serve, each with its best plan.
+    """Every nonempty subset of the singles' requests the vehicle can serve, with its best plan.
 
     `singles` is the vehicle's entry of `reachable_requests`: its decided
     one-request actions.  Bundles grow one request per layer from them, as in
     Alonso-Mora et al.'s trip construction: each pool is the requests of the
     previous layer's bundles, and a bundle (sorted ids) is searched only when
     every bundle one request smaller is feasible; dropping stops never delays
-    the rest, so none is missed.  The null action comes first, then the
-    singles, then bundles by size and then by request ids.
+    the rest, so none is missed.  The singles come first, then bundles by
+    size and then by request ids; the null action is not among them.
     """
-    actions = [null_action(v), *singles]
+    actions = list(singles)
     room = min(constraints.max_bundle, v.capacity - len(v.onboard))
     if room < 2 or len(singles) < 2:
         return actions
@@ -468,8 +456,8 @@ def advance(
 ) -> list[int]:
     """Adopt the chosen plan and travel for `dt` seconds; returns completions.
 
-    `chosen` None keeps the route the vehicle holds, as its null action
-    would, with no check and no copy: a checked plan stays valid while this
+    `chosen` None is the null action: the vehicle keeps the route it holds,
+    with no check and no copy, since a checked plan stays valid while this
     function only pops stops off its front.  The vehicle walks shortest paths
     node by node; partial progress along an edge is retained, so splitting an
     interval across calls lands the vehicle in the same state as one combined

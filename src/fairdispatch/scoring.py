@@ -12,8 +12,8 @@ The histories do not change within a window, so both gaps are computed once
 per window into a `FairnessSnapshot` (clipped there for the plus variants)
 and every action's incentives are dictionary lookups into it.  The snapshot
 reads each history's kept view: `rates` and `mean_rate`, `scaled` and
-`mean_scaled`.  `null_score` gives a vehicle that reaches no request the
-score of its null action without building the action.
+`mean_scaled`.  `null_score` scores every vehicle's null action, which keeps
+the route the vehicle holds and serves nothing, without building an action.
 """
 
 from __future__ import annotations
@@ -106,12 +106,13 @@ def _table_value(
 def null_score(
     v: VehicleState, vfa: ValueFunction, now: float = 0.0, partition: AreaPartition | None = None
 ) -> float:
-    """`total_score` of `null_action(v)` at any weights and snapshot, to the bit.
+    """The score of `v`'s null action, which keeps the route `v` holds and serves nothing.
 
-    The null action serves nothing, so its reward and both incentives add
-    zeros, and the null plan is the route the vehicle holds; no action is
-    built.  Only a table value can be nonzero, and `+ 0.0` turns a table's
-    -0.0 into the 0.0 those additions make of it.
+    It equals, to the bit, `total_score` at any weights and snapshot of the
+    action with no requests, the held route as its plan and no added delay;
+    no such action is built.  Its reward and both incentives add zeros, so
+    only a table value can be nonzero, and `+ 0.0` turns a table's -0.0 into
+    the 0.0 those additions make of it.
     """
     if vfa.kind != "table":
         return 0.0

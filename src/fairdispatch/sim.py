@@ -5,11 +5,10 @@ arrived during the window each vehicle can reach in time, enumerates
 feasible actions per vehicle from those, scores them against one fairness
 snapshot frozen at window start, solves the assignment, advances every
 vehicle by the window length, and updates both fairness histories once.
-A vehicle that reaches no request takes its null action with no enumeration
-or scoring, and it, like every vehicle whose matching picks the null action,
-moves along the route it holds with no plan check.  Its null candidate stays
-in the problem, so matchers, dumps and the theorem harnesses see every
-vehicle.
+Every vehicle's candidate 0 is its null action, which keeps the route it
+holds: `null_score` scores it with no `Action` built, and picking it skips
+the plan check.  A vehicle that reaches no request has that candidate alone,
+so matchers, dumps and the theorem harnesses still see every vehicle.
 Requests left unmatched at the end of their window are dropped.
 `run_simulation` batches the requests and steps every window in turn; the
 theorem harnesses step a single window 0 and read the histories it returns.
@@ -145,10 +144,11 @@ def build_window_problem(
 ) -> tuple[MatchProblem, dict[int, list]]:
     """Enumerate and score candidate actions for one assignment window.
 
-    Returns the problem and the actions, in candidate order, of each vehicle
-    that reaches a request.  A vehicle that reaches none has no entry: its one
-    candidate is its null action, scored by `null_score` and shared, as one
-    tuple per score, with every such vehicle.
+    Every vehicle's candidate 0 is its null action, scored by `null_score`
+    and shared, as one tuple per score, with every vehicle of that score; a
+    vehicle that reaches no request has that tuple as its candidates.
+    Returns the problem and, for each vehicle that reaches a request, its
+    request-serving actions: candidate `i` is action `i - 1`.
     """
     constraints = cfg.constraints()
     w = cfg.weights
@@ -159,15 +159,15 @@ def build_window_problem(
     null_rows: dict[float, tuple[Candidate]] = {}
     reachable = reachable_requests(vehicles, batch, now, net, constraints)
     for v, singles in zip(vehicles, reachable):
+        score = null_score(v, cfg.vfa, now, partition)
+        null = null_rows.get(score)
+        if null is None:
+            null = null_rows[score] = (Candidate(frozenset(), score),)
         if not singles:
-            score = null_score(v, cfg.vfa, now, partition)
-            rows = null_rows.get(score)
-            if rows is None:
-                rows = null_rows[score] = (Candidate(frozenset(), score),)
-            candidates[v.id] = rows
+            candidates[v.id] = null
             continue
         acts = feasible_actions(v, singles, now, net, constraints)
-        rows = []
+        rows = [*null]
         for a in acts:
             if snapshot is not None:
                 score = total_score(v, a, cfg.vfa, snapshot, w, now, partition, cfg.pricing)
@@ -210,13 +210,12 @@ def step_window(
     except ContractError as exc:
         raise WindowSolveError(str(exc), k, problem) from exc
     # The histories never read vehicle state, so vehicles move first.  Index 0
-    # is the null action, whose plan is the route the vehicle holds: it earns
-    # nothing and keeps that route.
+    # is the null action: it earns nothing and keeps the route the vehicle holds.
     rewards: dict[int, float] = {}
     moved = matching.nonzero_choices()
     for v in vehicles:
         i = moved.get(v.id)
-        chosen = None if i is None else actions_by[v.id][i]
+        chosen = None if i is None else actions_by[v.id][i - 1]
         rewards[v.id] = 0.0 if chosen is None else immediate_reward(chosen, cfg.pricing)
         advance(v, chosen, cfg.window_len, net)
     hist_p = update_passenger_history(hist_p, batch, matching)

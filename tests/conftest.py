@@ -3,9 +3,14 @@ from __future__ import annotations
 import pytest
 
 import fairdispatch.sim as sim_module
-from fairdispatch.fleet import null_action
+from fairdispatch.fleet import Action, VehicleState
 from fairdispatch.network import grid_partition, make_grid
 from fairdispatch.scoring import ScoreWeights, fairness_snapshot, total_score
+
+
+def keep_route(v: VehicleState) -> Action:
+    """The null action as an `Action`: serve nothing and keep the route `v` holds."""
+    return Action((), tuple(v.route), 0.0)
 
 
 @pytest.fixture(scope="session")
@@ -30,10 +35,11 @@ def zero_weight_scores_checked(monkeypatch):
 
     Each candidate's requests and score must equal the action's and its
     `total_score` on that window's own fairness snapshot at zero weights,
-    under the plain and the plus variants, scores compared by `float.hex`.  A
-    vehicle with no entry in `actions_by` reaches no request, so its actions
-    are its null action alone.  Returns the list of checked windows'
-    candidate counts, one entry per window.
+    under the plain and the plus variants, scores compared by `float.hex`.
+    Every vehicle's candidate 0 is checked against `keep_route`, and a
+    vehicle with no entry in `actions_by` reaches no request, so that is its
+    only candidate.  Returns the list of checked windows' candidate counts,
+    one entry per window.
     """
     checked: list[int] = []
     build = sim_module.build_window_problem
@@ -46,7 +52,7 @@ def zero_weight_scores_checked(monkeypatch):
             for v in vehicles:
                 expected = [
                     (a.request_ids(), total_score(v, a, cfg.vfa, snapshot, w, now, partition, cfg.pricing).hex())
-                    for a in actions_by.get(v.id, [null_action(v)])
+                    for a in [keep_route(v), *actions_by.get(v.id, [])]
                 ]
                 got = [(c.requests, c.score.hex()) for c in problem.candidates[v.id]]
                 assert got == expected, (now, v.id)

@@ -19,11 +19,12 @@ from fairdispatch.fleet import (
     advance,
     feasible_actions,
     load_fleet,
-    null_action,
     random_fleet,
     reachable_requests,
 )
 from fairdispatch.network import UNREACHABLE, GroupId, from_edges, make_grid
+
+from conftest import keep_route
 
 C = RideConstraints(max_wait=300.0, max_detour=300.0, max_bundle=2)
 
@@ -42,7 +43,7 @@ def oracle_feasible(v, batch, now, net, constraints):
     """Reference: enumerate all subsets and all stop permutations.
 
     Returns {request-id frozenset: best completion time}; the empty set maps
-    to the completion time of the existing route.
+    to the completion time of the existing route, the null action's.
     """
     if v.next_node is None:
         start, offset = v.location, 0.0
@@ -130,17 +131,15 @@ def assert_plans_walk(v, batch, now, net, constraints, actions):
 
 def test_empty_batch_yields_only_null(grid3):
     v = VehicleState(0, 4, capacity=2)
-    actions = feasible(v, [], 60.0, grid3, C)
-    assert len(actions) == 1
-    assert not actions[0].requests
+    # The null action is the window's candidate 0, not one of the actions.
+    assert feasible(v, [], 60.0, grid3, C) == []
 
 
 def test_unreachable_pickup_yields_only_null():
     net = make_grid(1, 9, 50.0)  # line; 0 -> 8 costs 400
     v = VehicleState(0, 0, capacity=1)
     batch = [req(0, 8, 7, arrival=0.0)]
-    actions = feasible(v, batch, 60.0, net, C)
-    assert [a.request_ids() for a in actions] == [frozenset()]
+    assert feasible(v, batch, 60.0, net, C) == []
 
 
 def test_two_compatible_requests_on_grid(grid3):
@@ -148,7 +147,6 @@ def test_two_compatible_requests_on_grid(grid3):
     batch = [req(0, 1, 2), req(1, 4, 5)]
     actions = feasible(v, batch, 60.0, grid3, C)
     assert [a.request_ids() for a in actions] == [
-        frozenset(),
         frozenset({0}),
         frozenset({1}),
         frozenset({0, 1}),
@@ -156,10 +154,10 @@ def test_two_compatible_requests_on_grid(grid3):
 
 
 def test_null_action_keeps_route(grid3):
-    v = VehicleState(0, 0, capacity=2, route=[Stop(2, 9, DROPOFF, 1e9)], onboard={9})
-    action = null_action(v)
-    assert action.plan == (Stop(2, 9, DROPOFF, 1e9),)
-    assert action.added_delay == 0.0
+    route = [Stop(2, 9, DROPOFF, 1e9)]
+    v = VehicleState(0, 0, capacity=2, route=route, onboard={9})
+    assert advance(v, None, 0.0, grid3) == []
+    assert v.route is route and route == [Stop(2, 9, DROPOFF, 1e9)]
 
 
 def test_matches_oracle_on_random_instances():
@@ -189,18 +187,18 @@ def test_matches_oracle_on_random_instances():
         assert_plans_walk(v, batch, now, net, cons, actions)
         got = {a.request_ids(): a for a in actions}
         expected = oracle_feasible(v, batch, now, net, cons)
+        base = expected.pop(frozenset())
         assert set(got) == set(expected), f"trial {trial}"
-        base = expected[frozenset()]
         for ids, action in got.items():
             assert action.added_delay == pytest.approx(expected[ids] - base, abs=1e-9)
-        # The tie-break's candidate indices refer to this order: the null
-        # action, then bundles by size, then by ascending request ids.
+        # The tie-break's candidate indices refer to this order, after the
+        # null candidate: bundles by size, then by ascending request ids.
         keys = [tuple(r.id for r in a.requests) for a in actions]
-        assert keys[0] == ()
+        assert () not in keys
         assert all(list(ids) == sorted(set(ids)) for ids in keys), f"trial {trial}"
         assert keys == sorted(set(keys), key=lambda ids: (len(ids), ids)), f"trial {trial}"
         sizes_seen.update(map(len, keys))
-    assert sizes_seen == {0, 1, 2, 3}
+    assert sizes_seen == {1, 2, 3}
 
 
 def test_matches_oracle_from_mid_edge_states():
@@ -210,7 +208,7 @@ def test_matches_oracle_from_mid_edge_states():
         v = VehicleState(0, rng.randrange(8), capacity=2)
         warmup_pickup, warmup_dropoff = rng.sample(range(8), 2)
         warmup = [req(50, warmup_pickup, warmup_dropoff)]
-        actions = feasible(v, warmup, 60.0, net, C)
+        actions = [keep_route(v), *feasible(v, warmup, 60.0, net, C)]
         dt = float(rng.choice([10, 30, 50, 90]))
         advance(v, actions[-1], dt, net)
         now = 60.0 + dt
@@ -222,8 +220,8 @@ def test_matches_oracle_from_mid_edge_states():
         assert_plans_walk(v, batch, now, net, C, actions)
         got = {a.request_ids(): a for a in actions}
         expected = oracle_feasible(v, batch, now, net, C)
+        base = expected.pop(frozenset())
         assert set(got) == set(expected), f"trial {trial}"
-        base = expected[frozenset()]
         for ids, action in got.items():
             assert action.added_delay == pytest.approx(expected[ids] - base, abs=1e-9)
 
@@ -240,7 +238,7 @@ def test_downward_closed():
         cons = RideConstraints(max_wait=300.0, max_detour=300.0, max_bundle=3)
         ids = {a.request_ids() for a in feasible(v, batch, 60.0, net, cons)}
         for s in ids:
-            for k in range(len(s)):
+            for k in range(1, len(s)):  # the empty set is the null candidate
                 for sub in combinations(sorted(s), k):
                     assert frozenset(sub) in ids
 
@@ -331,7 +329,7 @@ def test_unreachable_dropoff_yields_no_single():
         reachable = scalar_reachable(v, batch, 60.0, net, C)
         assert [r.id for r in reachable] == [0, 1]
         actions = feasible(v, batch, 60.0, net, C)
-        assert [a.request_ids() for a in actions] == [frozenset(), frozenset({1})]
+        assert [a.request_ids() for a in actions] == [frozenset({1})]
 
 
 def test_one_stop_route_keeps_the_search_lookahead():
@@ -345,7 +343,7 @@ def test_one_stop_route_keeps_the_search_lookahead():
     r = req(0, 0, 1, arrival=590.0)
     assert not _PlanSearch(v, 600.0, net, C).run([r])
     assert reachable_requests([v], [r], 600.0, net, C) == [[]]  # the hit had no plan
-    assert feasible(v, [r], 600.0, net, C) == [null_action(v)]
+    assert feasible(v, [r], 600.0, net, C) == []
 
 
 def walk_order(v, order, now, net, constraints, r):
@@ -497,7 +495,7 @@ def test_decided_singles_equal_the_plan_search():
 
 def test_advance_idle_null_is_noop(grid3):
     v = VehicleState(0, 4, capacity=1)
-    completed = advance(v, null_action(v), 60.0, grid3)
+    completed = advance(v, keep_route(v), 60.0, grid3)
     assert completed == []
     assert (v.location, v.next_node, v.edge_progress, v.route) == (4, None, 0.0, [])
 
@@ -528,7 +526,7 @@ def test_advance_split_equals_combined():
     )
     done1 = advance(v1, single, 70.0, net)  # mid-edge between node 1 and 2
     assert v1.edge_progress == 20.0
-    done1 += advance(v1, null_action(v1), 60.0, net)
+    done1 += advance(v1, keep_route(v1), 60.0, net)
 
     v2 = fresh()
     done2 = advance(v2, single, 130.0, net)
@@ -556,10 +554,10 @@ def test_advance_within_the_committed_edge():
         return v
 
     split, whole = mid_edge(), mid_edge()
-    assert advance(split, null_action(split), 25.0, net) == []
+    assert advance(split, keep_route(split), 25.0, net) == []
     assert (split.location, split.next_node, split.edge_progress) == (0, 1, 65.0)
-    assert advance(split, null_action(split), 30.0, net) == []
-    assert advance(whole, null_action(whole), 55.0, net) == []
+    assert advance(split, keep_route(split), 30.0, net) == []
+    assert advance(whole, keep_route(whole), 55.0, net) == []
     assert (whole.location, whole.next_node, whole.edge_progress) == (0, 1, 95.0)
     assert (split.location, split.next_node, split.edge_progress) == (0, 1, 95.0)
     assert split.route == whole.route and split.onboard == whole.onboard == set()
@@ -574,12 +572,12 @@ def test_advance_conserves_requests():
         for i in range(2):
             pickup, dropoff = rng.sample(range(9), 2)
             batch.append(req(i, pickup, dropoff))
-        actions = feasible(v, batch, 60.0, net, C)
+        actions = [keep_route(v), *feasible(v, batch, 60.0, net, C)]
         chosen = actions[rng.randrange(len(actions))]
         expected = set(chosen.request_ids())
         completed = []
         for _ in range(40):
-            completed += advance(v, null_action(v) if completed or v.route else chosen, 60.0, net)
+            completed += advance(v, keep_route(v) if completed or v.route else chosen, 60.0, net)
             if not v.route and completed:
                 break
         # run the chosen action first, then idle until the route drains
@@ -603,12 +601,12 @@ def test_keeping_the_route_equals_advancing_the_null_action():
                 req(10 * step + i, *rng.sample(range(12), 2), arrival=now - rng.uniform(0.0, 60.0))
                 for i in range(rng.randint(0, 3))
             ]
-            actions = feasible(v, batch, now, net, C)
+            actions = [keep_route(v), *feasible(v, batch, now, net, C)]
             advance(v, rng.choice(actions), float(rng.choice([15, 30, 60, 90, 150])), net)
         kept, null = v.clone(), v.clone()
         dt = float(rng.choice([0, 15, 30, 60, 90, 200]))
         completed = advance(kept, None, dt, net)
-        assert completed == advance(null, null_action(null), dt, net), trial
+        assert completed == advance(null, keep_route(null), dt, net), trial
         assert kept == null, trial
         seen["mid-edge" if v.next_node is not None else "at a node"] += 1
         seen["route" if v.route else "idle"] += 1

@@ -453,6 +453,23 @@ def test_stale_failure_dump_counts_as_an_output(tmp_path, capsys, command, dump)
     assert not (out / dump).exists()
 
 
+@pytest.mark.parametrize("command, output", [("run", "metrics.csv"), ("sweep", "sweep.csv")])
+def test_output_that_is_not_a_file_exits_2_and_nothing_is_deleted(tmp_path, capsys, command, output):
+    out = tmp_path / "out"
+    argv = [*command_flags(command, write_manifest(tmp_path / "m.json", horizon=120)), "--out", str(out)]
+    assert main(argv) == 0
+    (out / output).unlink()
+    (out / output).mkdir()
+    (out / output / "kept").write_text("kept\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert before  # the other outputs of the earlier run
+    for flags in ([], ["--force"]):
+        assert main([*argv, *flags]) == 2
+        assert capsys.readouterr().err == f"error: outputs in {out} are not regular files: ['{output}']\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert (out / output / "kept").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize(
     "command, outputs",
     [("run", ["metrics.csv", "result.json", "summary.txt"]), ("sweep", ["summary.txt", "sweep.csv"])],

@@ -8,7 +8,7 @@ import pytest
 
 from fairdispatch.demand import Request
 from fairdispatch.errors import ConfigError, InputError, ParseError
-from fairdispatch.fleet import DROPOFF, PICKUP, Action, Stop, VehicleState, null_action
+from fairdispatch.fleet import DROPOFF, PICKUP, Action, Stop, VehicleState
 from fairdispatch.metrics import DriverHistory, PassengerHistory
 from fairdispatch.network import GroupId, grid_partition
 from fairdispatch.scoring import (
@@ -26,6 +26,8 @@ from fairdispatch.scoring import (
     total_score,
     value_estimate,
 )
+
+from conftest import keep_route
 
 G_LOW = GroupId(0, 0)
 G_HIGH = GroupId(0, 1)
@@ -397,7 +399,7 @@ def random_null_vfa(rng: random.Random) -> ValueFunction:
 
 
 def test_null_score_equals_the_null_actions_total_score():
-    """A vehicle that reaches no request is scored without its null action, to the bit."""
+    """Every vehicle's null candidate is scored without building its action, to the bit."""
     rng = random.Random(26)
     seen = Counter()
     for case in range(3000):
@@ -414,7 +416,7 @@ def test_null_score_equals_the_null_actions_total_score():
         now = rng.choice([0.0, 3600.0, rng.uniform(0.0, 2 * 86400.0)])
         v = random_vehicle(rng, drivers)
         pricing = {rid: rng.uniform(0.5, 3.0) for rid in range(100, 110)} if rng.random() < 0.5 else None
-        null = null_action(v)
+        null = keep_route(v)
         gaps = fairness_snapshot(hist_p, hist_d, w)
         want = total_score(v, null, vfa, gaps, w, now, GRID_PART, pricing)
         got = null_score(v, vfa, now, GRID_PART)
@@ -436,7 +438,7 @@ def test_null_score_of_a_negative_zero_table_value_is_zero():
     v = VehicleState(0, 5, 2, [Stop(3, 1, DROPOFF, 1e9)], {1})
     vfa = ValueFunction(kind="table", table={(GRID_PART.area(3), 1, 0): -0.0})
     assert null_score(v, vfa, 0.0, GRID_PART).hex() == (0.0).hex()
-    assert value_estimate(vfa, v, null_action(v), 0.0, GRID_PART).hex() == (-0.0).hex()
+    assert value_estimate(vfa, v, keep_route(v), 0.0, GRID_PART).hex() == (-0.0).hex()
     with pytest.raises(InputError, match="requires an area partition"):
         null_score(v, vfa)
 

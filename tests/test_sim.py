@@ -211,9 +211,10 @@ def test_no_plan_search_for_one_request_on_a_short_route(monkeypatch):
 
 def test_vehicles_that_reach_nothing_are_neither_enumerated_nor_scored_nor_rechecked(monkeypatch):
     """Ten windows of a seeded 10x10 city, weighted and at 0/0: only vehicles
-    with two or more candidates reach `feasible_actions` and the scorer, only
-    vehicles that leave candidate index 0 have a plan checked, and vehicles
-    that reach nothing share their one null candidate."""
+    with two or more candidates reach `feasible_actions`, the scorer sees only
+    their request-serving actions, only vehicles that leave candidate index 0
+    have a plan checked, and every vehicle's null candidate is the one shared
+    candidate of its null score."""
     calls = Counter()
 
     def counting(module, name):
@@ -260,10 +261,14 @@ def test_vehicles_that_reach_nothing_are_neither_enumerated_nor_scored_nor_reche
                 assert v not in actions_by and not rows[0].requests
             else:
                 enumerated += 1
-                scored += len(rows)
-                assert len(actions_by[v]) == len(rows)
+                scored += len(rows) - 1
+                assert len(actions_by[v]) == len(rows) - 1
         shared = {id(rows) for rows in problem.candidates.values() if len(rows) == 1}
         assert len(shared) <= 1  # every null score is 0.0 under the zero value function
+        nulls = {}
+        for rows in problem.candidates.values():
+            assert nulls.setdefault(rows[0].score, rows[0]) is rows[0] and not rows[0].requests
+        assert list(nulls) == [0.0]
         moved += sum(1 for v in problem.vehicle_ids if matching.chosen[v])
     assert calls["feasible_actions"] == enumerated
     assert calls["total_score"] + calls["base_score"] == scored
