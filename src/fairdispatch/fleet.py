@@ -18,8 +18,11 @@ order.
 One-request plans on an empty route (one order) or on a route of one
 carried dropoff (three orders) are decided without the search, with the
 search's own float expressions, prunes and tie-break, so they equal its
-plans to the bit.  The search decides the one-request plans of routes of two
-or more stops, and every bundle.
+plans to the bit.  On a route of two or more stops, a request is first held
+to two necessary conditions, each route stop's deadline and the new
+dropoff's detour, in the style of Alonso-Mora et al.'s request-vehicle edge
+test; most such requests have no plan, and those the test rejects are not
+searched.  The search decides the rest, and every bundle.
 
 The null action, which keeps the route the vehicle holds, is never built:
 `feasible_actions` returns only actions that serve requests, the window
@@ -67,6 +70,15 @@ MAX_BUNDLE = 4
 # with no requests took 0.08 s while every vehicle was also enumerated and
 # scored (0.004 s without); at 100,000 that window alone took 0.95 s.
 MAX_FLEET = 10_000
+# The reject test in `reachable_requests` bounds the search's float sums by
+# sums along other paths through the table, which round differently: with
+# costs in thirds, 600 + 2/3 + 2/3 rounds below 600 + 4/3.  A float sum of m
+# nonnegative terms is within m * 2**-53 of its exact value, relatively, and
+# each table entry is Dijkstra's sum of fewer than `MAX_LOCATIONS` edge
+# costs, so on routes of up to 400 stops the two sides of a bound hold fewer
+# than 2**23 roundings between them.  Each bound is loosened by 2**-30 of its
+# size, which covers them; at a day's times (under 10**5 s) that is 0.1 ms.
+_ROUNDING = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -286,6 +298,32 @@ def reachable_requests(
     dropoff, by the plan search on longer routes.  A hit with no plan is
     dropped: no bundle holds it.  Every vehicle that reaches nothing shares
     one empty tuple.
+
+    On a route of two or more stops, a hit is searched only if it passes a
+    reject test; the vehicle's search is built at its first hit that does.
+    Write `o` and `t0` for the planning origin and its time, `p` for the
+    pickup, due at `due_p`, `d` for the dropoff with `direct = T[p,d]`, and
+    `D_s` for route stop `s`'s deadline.  Along any order of the stops, the
+    search's time at a stop is at least its time at an earlier stop plus the
+    travel time between them, by the triangle inequality its lookahead prune
+    relies on.  So an order that meets every deadline puts each stop `s`
+    where the matching bound holds:
+
+    - `s` before `p`: `t0 + T[o,s] + T[s,p] <= due_p`;
+    - `p` before `s` before `d`: `t0 + T[o,p] + T[p,s] <= D_s`, and
+      `T[p,s] + T[s,d] <= direct + max_detour`, since the dropoff is due
+      `direct + max_detour` after the pickup and reached at least
+      `T[p,s] + T[s,d]` after it;
+    - `p` before `d` before `s`: `t0 + T[o,p] + T[p,s] <= D_s` and
+      `t0 + T[o,p] + direct + T[d,s] <= D_s`.
+
+    A hit for which some stop meets none of the three bounds has no plan, and
+    is dropped unsearched.  The bounds hold in exact arithmetic.  In floats
+    the search's sums run along other paths and may round to the other side
+    of a bound, so each deadline is loosened by `_ROUNDING` of its size, and
+    the detour room by that share of the latest the dropoff can be due,
+    `due_p + direct + max_detour`.  So the test rejects only hits for which
+    `_PlanSearch.run` finds no plan.
     """
     entries: list[Sequence[Action]] = [_NOTHING_REACHED] * len(vehicles)
     seated = [k for k, v in enumerate(vehicles) if v.capacity > len(v.onboard)]
@@ -310,8 +348,8 @@ def reachable_requests(
         pickup = Stop(r.pickup, r.id, PICKUP, pickup_due)
         trips.append((r, pk, dk, pickup_due, times[pk * n + dk], pickup))
     # Per seated vehicle: its start row, start time and carried dropoff (its
-    # stop, index and arrival time), None on an empty route; or None when
-    # two or more stops leave its plans to the search.
+    # stop, index and arrival time), None on an empty route; or None on a
+    # route of two or more stops, whose hits pass the reject test first.
     plan_origins = []
     for k, i, start in zip(seated, origins, t0):
         route = vehicles[k].route
@@ -324,20 +362,65 @@ def reachable_requests(
             plan_origins.append(None)
     max_detour = constraints.max_detour
     # Hits come row by row, each row's in ascending request id, so one
-    # vehicle's hits are consecutive and its search is built at its first.
+    # vehicle's hits are consecutive.  At a long-route vehicle's first, its
+    # stops are tabulated for the reject test: each one's table row and
+    # column, arrival time straight from the start and deadline, loosened by
+    # `_ROUNDING`.  Its search is built at its first hit that the test keeps.
     for row, i in zip(*(hits.tolist() for hits in np.nonzero(in_time))):
         k, origin = seated[row], plan_origins[row]
         if entries[k] is _NOTHING_REACHED:
             entries[k] = []
             if origin is None:
-                search = _PlanSearch(vehicles[k], now, net, constraints)
-        if origin is None:
-            single = search.action((ordered[i],))
-        else:
+                s, start, search, stops = origins[row] * n, t0[row], None, []
+                for stop in vehicles[k].route:
+                    a = net.index_of(stop.location)
+                    loose = stop.deadline + abs(stop.deadline) * _ROUNDING
+                    stops.append((a * n, a, start + times[s + a], loose))
+        if origin is not None:
             single = _single_plan(times, n, max_detour, origin, trips[i])
+        elif _misses_a_deadline(times, n, max_detour, s, start, stops, trips[i]):
+            continue
+        else:
+            if search is None:
+                search = _PlanSearch(vehicles[k], now, net, constraints)
+            single = search.action((ordered[i],))
         if single is not None:
             entries[k].append(single)
     return entries
+
+
+def _misses_a_deadline(
+    times: memoryview,
+    n: int,
+    max_detour: float,
+    s: int,
+    t0: float,
+    stops: list[tuple[int, int, float, float]],
+    trip: tuple[Request, int, int, float, float, Stop],
+) -> bool:
+    """True when some route stop fits none of its three places around the request's stops.
+
+    `s` and `t0` are the vehicle's start row and start time, `stops` its
+    route and `trip` the request, as `reachable_requests` tabulates them;
+    the bounds and why they hold are in its docstring.
+    """
+    _, pk, dk, due, direct, _ = trip
+    p, d = pk * n, dk * n
+    picked = t0 + times[s + pk]
+    due += abs(due) * _ROUNDING
+    room = direct + max_detour
+    room += (due + room) * _ROUNDING
+    for row, a, reached, deadline in stops:
+        if reached + times[row + pk] <= due:  # the stop first
+            continue
+        to_stop = times[p + a]
+        if picked + to_stop > deadline:  # nor after the pickup
+            return True
+        if to_stop + times[row + dk] <= room:  # between the pickup and dropoff
+            continue
+        if picked + direct + times[d + a] > deadline:  # nor after the dropoff
+            return True
+    return False
 
 
 def _single_plan(

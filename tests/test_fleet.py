@@ -369,9 +369,10 @@ def test_decided_singles_equal_the_plan_search():
 
     Costs in thirds make exact ties; deadlines and pickup due times are set
     exactly on the bounds the three orders of a one-stop route test; node 100
-    has no edge, so a dropoff there is never reached.  Routes of two or more
-    stops are decided by the search itself, and their hits with no plan are
-    dropped like the shorter routes'.
+    has no edge, so a dropoff there is never reached.  Every route stop here
+    is due at 1e9, so on routes of two or more stops no hit fails the reject
+    test; `test_long_route_singles_equal_the_plan_search` draws the deadlines
+    it fails on.
     """
     rng = random.Random(7)
     reached = Counter()
@@ -692,3 +693,130 @@ def test_load_fleet_rejects_bad_rows(tmp_path, grid3):
     path.write_text("0,99,1\n")
     with pytest.raises(ParseError, match="unknown start"):
         load_fleet(path, grid3)
+
+
+def reject_test(v, r, now, net, constraints):
+    """`reachable_requests`'s reject test without its margin.
+
+    Returns the bound that drops `r` (None if none), whether some stop fits
+    only after the dropoff, and whether some bound holds with equality.
+    """
+    T = net.travel_time
+    start, offset = v.planning_origin(net)
+    t0, due = now + offset, r.arrival + constraints.max_wait
+    direct = T(r.pickup, r.dropoff)
+    picked = t0 + T(start, r.pickup)
+    after_only = on_bound = False
+    for s in v.route:
+        first = t0 + T(start, s.location) + T(s.location, r.pickup)
+        to_stop = picked + T(r.pickup, s.location)
+        between = T(r.pickup, s.location) + T(s.location, r.dropoff)
+        after = picked + direct + T(r.dropoff, s.location)
+        on_bound |= first == due or to_stop == s.deadline or after == s.deadline
+        on_bound |= between == direct + constraints.max_detour
+        if first <= due:
+            continue
+        if to_stop > s.deadline:
+            return "route deadline", after_only, on_bound
+        if between <= direct + constraints.max_detour:
+            continue
+        if after > s.deadline:
+            return "dropoff detour", after_only, on_bound
+        after_only = True
+    return None, after_only, on_bound
+
+
+def interleave(rng, rides):
+    """One random order of the rides' stops that keeps each ride's stops in order."""
+    rides, order = [list(ride) for ride in rides], []
+    while rides:
+        ride = rng.choice(rides)
+        order.append(ride.pop(0))
+        if not ride:
+            rides.remove(ride)
+    return order
+
+
+def test_long_route_singles_equal_the_plan_search():
+    """On routes of two or more stops, `reachable_requests` drops only hits the plan search fails.
+
+    Routes of two to five stops mix dropoffs of riders on board with queued
+    rides, pickup before dropoff; costs in thirds make the search's float
+    sums and the reject test's round apart, and vehicles may be mid-edge.
+    Route deadlines, the pickup's due time and the detour allowance are set
+    exactly on the reject test's bounds or a third past them, or all on the
+    search's own times along one random order of the stops.  Every hit's
+    single must be the search's, to the bit, or absent when it finds none.
+    """
+    rng = random.Random(29)
+    reached = Counter()
+    lonely = 100
+    for trial in range(1500):
+        locs = rng.sample(range(20), rng.randint(3, 6))
+        costs = [k / 3 for k in range(1, 10)]
+        edges = [(u, w, rng.choice(costs)) for u in locs for w in locs if u != w and rng.random() < 0.7]
+        net = from_edges([*locs, lonely], edges)
+        T = net.travel_time
+        now = 600.0
+        size = rng.randint(2, 5)
+        queued = rng.randint(0, size // 2)
+        onboard = range(90, 90 + size - 2 * queued)
+        rides = [[Stop(rng.choice(locs), rid, DROPOFF, 1e9)] for rid in onboard]
+        rides += [[Stop(rng.choice(locs), rid, kind, 1e9) for kind in (PICKUP, DROPOFF)] for rid in range(95, 95 + queued)]
+        v = VehicleState(0, rng.choice(locs), rng.randint(len(onboard) + 1, 6))
+        v.route, v.onboard = interleave(rng, rides), set(onboard)
+        if edges and rng.random() < 0.3:
+            u, w, cost = rng.choice(edges)
+            v.location, v.next_node = u, w
+            v.edge_progress = rng.choice([0.0, cost / 3, cost / 2])
+        start, offset = v.planning_origin(net)
+        pickup, dropoff = rng.sample([*locs, lonely] if rng.random() < 0.1 else locs, 2)
+        direct, picked = T(pickup, dropoff), now + offset + T(start, pickup)
+        # The search's times along one order of the route's stops and the request's.
+        walked, t, at = {}, now + offset, start
+        for stop in interleave(rng, [*rides, [Stop(pickup, 0, PICKUP, 0.0), Stop(dropoff, 0, DROPOFF, 0.0)]]):
+            t += T(at, stop.location)
+            walked[stop.request_id, stop.kind], at = t, stop.location
+        on_walk = walked[0, DROPOFF] - walked[0, PICKUP] - direct
+        tight = rng.random() < 0.4  # every deadline on the walk
+        past = rng.choice([0.0, 0.0, 1 / 3])
+        firsts = [now + offset + T(start, s.location) + T(s.location, pickup) for s in v.route]
+        due = walked[0, PICKUP] if tight else rng.choice([*firsts, walked[0, PICKUP], picked + 1.0]) - past
+        if not due < UNREACHABLE:
+            due = picked
+        detours = [T(pickup, s.location) + T(s.location, dropoff) - direct for s in v.route]
+        max_detour = on_walk if tight else rng.choice([*detours, on_walk, 300.0]) - past
+        if not 0 <= max_detour < UNREACHABLE:
+            max_detour = 0.0
+        cons = RideConstraints(max_wait=1.0, max_detour=max_detour, max_bundle=1)
+        for k, s in enumerate(v.route):
+            bounds = [picked + T(pickup, s.location), picked + direct + T(dropoff, s.location), walked[s.request_id, s.kind]]
+            deadline = walked[s.request_id, s.kind] if tight else rng.choice(bounds) - rng.choice([0.0, 0.0, 1 / 3])
+            v.route[k] = Stop(s.location, s.request_id, s.kind, deadline if deadline < UNREACHABLE else 1e9)
+        batch = [req(0, pickup, dropoff, arrival=due - 1.0), req(1, *rng.sample(locs, 2), arrival=now - rng.choice([0.0, 1 / 3]))]
+
+        got = reachable_requests([v], batch, now, net, cons)[0]
+        hits = scalar_reachable(v, batch, now, net, cons)
+        wanted = [(r, _PlanSearch(v, now, net, cons).action((r,))) for r in hits]
+        assert [a.requests for a in got] == [(r,) for r, want in wanted if want], trial
+        for single, (r, want) in zip(got, [(r, want) for r, want in wanted if want]):
+            assert single.plan == want.plan, trial
+            assert [s.deadline.hex() for s in single.plan] == [s.deadline.hex() for s in want.plan], trial
+            assert single.added_delay.hex() == want.added_delay.hex(), trial
+        for r, want in wanted:
+            reason, after_only, on_bound = reject_test(v, r, now, net, cons)
+            if want is None:
+                reached[f"no plan, {reason or 'kept'}"] += 1
+            else:
+                reached["a plan only the margin keeps"] += reason is not None
+                reached["a plan kept by the after-dropoff bound"] += after_only
+                reached["a plan with a stop on a bound"] += on_bound
+    assert set(reached) == {
+        "no plan, route deadline",
+        "no plan, dropoff detour",
+        "no plan, kept",
+        "a plan only the margin keeps",
+        "a plan kept by the after-dropoff bound",
+        "a plan with a stop on a bound",
+    }, reached
+    assert all(reached.values()), reached

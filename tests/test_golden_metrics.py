@@ -71,6 +71,27 @@ BUNDLE_3 = {
 }
 
 
+# Four seats, bundles of three and a 120 s detour allowance on a 12x12 grid,
+# with two hours of demand over all 16 pairs of its four areas: most singles
+# offered to routes of two or more stops fail, and the two reject tests in
+# `reachable_requests` both fire.  Of its 5,202 long-route singles, 4,700
+# have no plan: the route-deadline test rejects 3,544 of them and the
+# dropoff-detour test 971 more.  Its digest was recorded before those tests.
+LONG_ROUTES = {
+    "window_len": 60,
+    "horizon": 7200,
+    "seed": 1,
+    "matcher": "ilp",
+    "max_bundle": 3,
+    "max_detour": 120,
+    "network": {"grid": {"rows": 12, "cols": 12, "edge_cost": 40}},
+    "partition": {"grid": {"rows_per_area": 6, "cols_per_area": 6}},
+    "requests": {"profile": {"rates": [[o, d, 0.5] for o in range(4) for d in range(4)], "seed": 1}},
+    "fleet": {"random": {"size": 20, "capacity": 4, "seed": 1001}},
+    "weights": {"beta": 20.0, "delta": 20.0, "passenger_plus": True, "driver_plus": True},
+}
+
+
 DESK_DELAY = {**desk({"beta": 20.0, "delta": 20.0}), "vfa": {"kind": "delay", "omega": 1e-3}}
 DESK_TABLE = {**desk({"beta": 20.0, "delta": 20.0}), "vfa": {"kind": "table", "path": "values.csv"}}
 DESK_GREEDY = {
@@ -156,6 +177,10 @@ PROBLEM_GOLDEN = {
     "desk-zero": (
         desk({}),
         "4c47bac3eeee834378a6ec7581ca66b180d5ca3f2771acbe8df71dcf8c3e1e15",
+    ),
+    "long-routes": (
+        LONG_ROUTES,
+        "456f6b894d7db58ffb7df7f10db1ca1fc9ac107a84c99cfb26a3f3e3c417123f",
     ),
 }
 
