@@ -19,12 +19,15 @@ The search of one component has a deterministic work budget
 (SEARCH_BUDGET, counted in search nodes times component vehicles, never
 in wall time), just above what the largest tie plateau of the tests needs,
 so a component the search cannot finish wastes little before the handover.
-A component that exceeds it is solved by HiGHS through scipy instead: LP
-relaxations and zero-gap MILPs give the optimum, and fixing vehicles in
-ascending id order rebuilds the same tie-break.  Within the budget results
-are exact and lexicographic; beyond it they are optimal and tie-broken to
-HiGHS's tolerance.  scipy's `optimize` is imported with this module, so
-the first handover of a process does not pay for it.
+A component that exceeds it is solved by HiGHS instead: LP relaxations and
+zero-gap MILPs give the optimum, and fixing vehicles in ascending id order
+rebuilds the same tie-break.  Within the budget results are exact and
+lexicographic; beyond it they are optimal and tie-broken to HiGHS's
+tolerance.  Each solve goes to the HiGHS bindings that scipy's linprog and
+milp call (`scipy.optimize._highspy._core`), posed as those two pose it,
+without their Python layers.  The bindings, and with them `scipy.optimize`,
+are imported with this module, so the first handover of a process does not
+pay for the import.
 
 A Matching stores only the vehicles that leave candidate index 0 or serve
 requests, so its size follows the vehicles served, not the fleet.
@@ -41,9 +44,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize  # linprog and milp are read through it, so patching them applies
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.sparse import csc_array
+from scipy.optimize._highspy import _core as _highs  # the HiGHS bindings linprog and milp call
 
 from ._records import is_finite_number
 from .errors import ContractError, InputError, InstanceTooLargeError, ParseError
@@ -234,10 +235,10 @@ def _components(p: MatchProblem, masks: dict[int, list[tuple[int, float]]]) -> l
 # on desk days 0-11 of the criterion-5 scenario and at 4.2e4 on 200 windows
 # captured from city-scale greedy runs.  21 desk components (13-19 vehicles
 # contending for 4-12 requests) and the 10 largest contended ones (18-101
-# vehicles) hand over after 10-139 ms of search; HiGHS then takes 8-58 ms
-# per desk component and 9-289 ms per contended one.  For the eight desk
+# vehicles) hand over after 8-79 ms of search; HiGHS then takes 2-12 ms
+# per desk component and 2-126 ms per contended one.  For the eight desk
 # components that need 1.5e5-5e5 to finish, it returns the assignment the
-# exact search does (CPython 3.11, one Xeon vCPU).
+# exact search does (CPython 3.11, one of two vCPUs).
 SEARCH_BUDGET = 15 * 10**4
 
 
@@ -307,8 +308,8 @@ _HIGHS_TIE = 1e-9
 # does not change the result: without it the handovers of desk days 0-11 and
 # of the 200 contended windows chose the same assignments.  It stays because
 # it saves HiGHS time: without it a pass over the contended windows spent
-# 2-3x as long in HiGHS, and city-M window 1's 92-vehicle component took
-# 3-4x as long.
+# 2.5x as long in HiGHS (0.52 s against 0.20 s), and city-M window 1's
+# 92-vehicle component took 5x as long (0.20 s against 39 ms).
 _LEX_NUDGE = 1e-6
 
 
@@ -354,39 +355,58 @@ def _price_bound(
     return bound
 
 
+def _highs_options(**values) -> _highs.HighsOptions:
+    options = _highs.HighsOptions()
+    for name, value in values.items():
+        setattr(options, name, value)
+    return options
+
+
+# The HiGHS options that linprog(method="highs-ds") and
+# milp(options={"mip_rel_gap": 0}) set, so each solve runs as theirs would.
+_LP_OPTIONS = _highs_options(
+    presolve="on",
+    solver="simplex",
+    simplex_strategy=1,
+    highs_debug_level=0,
+    output_flag=False,
+    log_to_console=False,
+)
+_MILP_OPTIONS = _highs_options(log_to_console=False, mip_rel_gap=0.0)
+
+
 class _HighsModel:
     """The assignment ILP of one component for HiGHS, built once.
 
     Columns are (vehicle, candidate index) pairs; rows say each vehicle
     takes one candidate and each request is served at most once.  A solve
     keeps the rows of the free vehicles and the columns that avoid the
-    taken requests.
+    taken requests, and hands them to a fresh HiGHS instance through the
+    bindings scipy's linprog and milp call: the same options, columns,
+    bounds and row order (request rows over vehicle rows for the LP,
+    vehicle rows over request rows for the MILP) those two would pass,
+    without their Python layers.  No HiGHS state outlives a solve.
     """
 
     def __init__(self, vehicles: list[int], masks: dict[int, list[tuple[int, float]]]) -> None:
         self.vehicles = vehicles
         self.columns = [(v, i) for v in vehicles for i in range(len(masks[v]))]
         self.column_masks = [masks[v][i][0] for v, i in self.columns]
-        self.cost = np.array([-masks[v][i][1] for v, i in self.columns])
+        self.cost = [-masks[v][i][1] for v, i in self.columns]
+        # Request rows are numbered in order of first use; each column lists its own ascending.
         row_of_bit: dict[int, int] = {}
-        row_of_vehicle = {v: r for r, v in enumerate(vehicles)}
-        ub_rows, ub_cols = [], []
-        for j, mask in enumerate(self.column_masks):
+        self.request_rows: list[list[int]] = []
+        for mask in self.column_masks:
+            rows = []
             while mask:
                 bit = mask & -mask
                 mask ^= bit
-                ub_rows.append(row_of_bit.setdefault(bit, len(row_of_bit)))
-                ub_cols.append(j)
-        n = len(self.columns)
-        eq_rows = [row_of_vehicle[v] for v, _ in self.columns]
-        self.a_eq = csc_array((np.ones(n), (eq_rows, range(n))), shape=(len(vehicles), n))
-        self.a_ub = csc_array((np.ones(len(ub_rows)), (ub_rows, ub_cols)), shape=(len(row_of_bit), n))
+                rows.append(row_of_bit.setdefault(bit, len(row_of_bit)))
+            self.request_rows.append(sorted(rows))
         self.bits = list(row_of_bit)
         # Lower vehicle ids weigh more, as they do in the tie-break.
         weight = {v: (len(vehicles) - r) / len(vehicles) for r, v in enumerate(vehicles)}
-        self.nudged_cost = self.cost + np.array(
-            [_LEX_NUDGE * i * weight[v] for v, i in self.columns]
-        )
+        self.nudged_cost = [c + _LEX_NUDGE * i * weight[v] for c, (v, i) in zip(self.cost, self.columns)]
 
     def solve(
         self, fixed: Mapping[int, int], used: int, integral: bool, nudged: bool = False
@@ -399,50 +419,61 @@ class _HighsModel:
         returns its assignment and no prices.  `nudged` solves with the
         tie-steering costs, whose optimum may fall short of the true one.
         """
-        free_rows = [r for r, v in enumerate(self.vehicles) if v not in fixed]
-        if not free_rows:
+        free_row = {v: r for r, v in enumerate(v for v in self.vehicles if v not in fixed)}
+        if not free_row:
             return {}, {}
         keep = [
             j
             for j, ((v, _), mask) in enumerate(zip(self.columns, self.column_masks))
-            if v not in fixed and not mask & used
+            if v in free_row and not mask & used
         ]
-        cost = (self.nudged_cost if nudged else self.cost)[keep]
-        a_eq = self.a_eq[:, keep][free_rows]
-        a_ub = self.a_ub[:, keep]
+        n_free, n_bits = len(free_row), len(self.bits)
+        # milp stacks the vehicle rows over the request rows, linprog the other way round
+        starts, index = [0], []
+        for j in keep:
+            vehicle_row = free_row[self.columns[j][0]]
+            if integral:
+                index.append(vehicle_row)
+                index.extend(n_free + r for r in self.request_rows[j])
+            else:
+                index.extend(self.request_rows[j])
+                index.append(n_bits + vehicle_row)
+            starts.append(len(index))
+        one_each, at_most_one = [1.0] * n_free, [-inf] * n_bits  # row lower bounds
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = len(keep)
+        lp.num_row_ = lp.a_matrix_.num_row_ = n_free + n_bits
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = starts
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = [1.0] * len(index)
+        costs = self.nudged_cost if nudged else self.cost
+        lp.col_cost_ = [costs[j] for j in keep]
+        lp.col_lower_ = [0.0] * len(keep)
+        lp.col_upper_ = [1.0] * len(keep)
+        lp.row_lower_ = one_each + at_most_one if integral else at_most_one + one_each
+        lp.row_upper_ = [1.0] * (n_free + n_bits)
         if integral:
-            result = optimize.milp(
-                cost,
-                constraints=[LinearConstraint(a_eq, 1.0, 1.0), LinearConstraint(a_ub, -inf, 1.0)],
-                integrality=np.ones(len(keep)),
-                bounds=Bounds(0.0, 1.0),
-                options={"mip_rel_gap": 0},
-            )
-        else:
-            result = optimize.linprog(
-                cost,
-                A_ub=a_ub,
-                b_ub=np.ones(len(self.bits)),
-                A_eq=a_eq,
-                b_eq=np.ones(len(free_rows)),
-                bounds=(0.0, 1.0),
-                method="highs-ds",
-            )
-        if result.status != 0:
+            lp.integrality_ = [_highs.HighsVarType.kInteger] * len(keep)
+        highs = _highs._Highs()
+        highs.passOptions(_MILP_OPTIONS if integral else _LP_OPTIONS)
+        highs.passModel(lp)
+        highs.run()
+        status = highs.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
             raise ContractError(
                 f"HiGHS found no optimum for the component of vehicles {self.vehicles}: "
-                f"{result.message}"
+                f"{highs.modelStatusToString(status)}"
             )
-        chosen = self._assignment(keep, result.x, len(free_rows))
+        solution = highs.getSolution()
+        chosen = self._assignment(keep, np.array(solution.col_value), n_free)
         if integral:
             if chosen is None:
                 raise ContractError(
                     f"HiGHS returned a non-integral MILP solution for the component of vehicles {self.vehicles}"
                 )
             return chosen, {}
-        prices = {
-            bit: max(0.0, -float(dual)) for bit, dual in zip(self.bits, result.ineqlin.marginals)
-        }
+        prices = {bit: max(0.0, -dual) for bit, dual in zip(self.bits, solution.row_dual)}
         return chosen, prices
 
     def _assignment(self, keep: list[int], x, n_vehicles: int) -> dict[int, int] | None:

@@ -4,7 +4,6 @@ import csv
 import hashlib
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -521,12 +520,12 @@ def highs_failure_manifest(tmp_path: Path, monkeypatch) -> Path:
 
     Demand seed 32003 and fleet seed 33003: window 3 holds a 14-vehicle
     component that exceeds the exact search's budget, so HiGHS is asked.
+    Every solve then ends without an optimum, as when HiGHS hits a solve error.
     """
-    import scipy.optimize
+    from scipy.optimize._highspy import _core
 
-    failed = SimpleNamespace(status=4, message="numerical difficulties", x=None)
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
-    monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: failed)
+    failed = _core.HighsModelStatus.kSolveError
+    monkeypatch.setattr(_core._Highs, "getModelStatus", lambda self: failed)
     return write_manifest(
         tmp_path / "m.json",
         window_len=60,

@@ -523,6 +523,149 @@ def test_search_budget_decides_a_one_ulp_near_tie(monkeypatch):
     assert indices[1] > indices[0]
 
 
+CLIFF_FIXTURES = ("contended-city-S-window1.json", "desk-day32003-window3.json")
+
+
+def public_highs_solve(p: MatchProblem, vehicles, fixed, used, integral, nudged):
+    """One `_HighsModel.solve` call posed to scipy's public linprog or milp.
+
+    The same columns, costs, bounds and rows: request rows in order of first
+    use over the component's columns, over the free vehicles' rows for the
+    LP (linprog's A_ub over A_eq) and under them for the MILP.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
+    masks = matcher._masks(p)
+    bits: list[int] = []
+    for v in vehicles:
+        for mask, _ in masks[v]:
+            for k in range(mask.bit_length()):
+                if mask >> k & 1 and 1 << k not in bits:
+                    bits.append(1 << k)
+    free = [v for v in vehicles if v not in fixed]
+    if not free:
+        return {}, {}
+    columns = [(v, i) for v in free for i, (mask, _) in enumerate(masks[v]) if not mask & used]
+    a_ub = np.zeros((len(bits), len(columns)))
+    a_eq = np.zeros((len(free), len(columns)))
+    cost = np.zeros(len(columns))
+    n = len(vehicles)
+    for j, (v, i) in enumerate(columns):
+        mask, score = masks[v][i]
+        a_eq[free.index(v), j] = 1.0
+        for r, bit in enumerate(bits):
+            if mask & bit:
+                a_ub[r, j] = 1.0
+        weight = (n - vehicles.index(v)) / n
+        cost[j] = -score + matcher._LEX_NUDGE * i * weight if nudged else -score
+    if integral:
+        result = milp(
+            cost,
+            constraints=[LinearConstraint(a_eq, 1.0, 1.0), LinearConstraint(a_ub, -np.inf, 1.0)],
+            integrality=np.ones(len(columns)),
+            bounds=Bounds(0.0, 1.0),
+            options={"mip_rel_gap": 0},
+        )
+    else:
+        result = linprog(
+            cost,
+            A_ub=a_ub,
+            b_ub=np.ones(len(bits)),
+            A_eq=a_eq,
+            b_eq=np.ones(len(free)),
+            bounds=(0.0, 1.0),
+            method="highs-ds",
+        )
+    assert result.status == 0, result.message
+    chosen = None
+    if np.abs(result.x - np.round(result.x)).max() <= 1e-6:
+        chosen = {columns[k][0]: columns[k][1] for k in np.flatnonzero(result.x > 0.5)}
+    if integral:
+        return chosen, {}
+    return chosen, {bit: max(0.0, -float(d)) for bit, d in zip(bits, result.ineqlin.marginals)}
+
+
+def tie_heavy_component(rng: random.Random) -> MatchProblem:
+    """Vehicles contending for a few requests, in bundles of up to three, at integer scores."""
+    batch = list(range(rng.randint(3, 6)))
+    pool = [frozenset(c) for k in (1, 2, 3) for c in combinations(batch, k)]
+    cands = {
+        v: [NULL] + [Candidate(ids, float(rng.randint(0, 3))) for ids in rng.sample(pool, rng.randint(1, 6))]
+        for v in range(rng.randint(2, 7))
+    }
+    return MatchProblem.build(cands, batch)
+
+
+def test_direct_highs_solves_equal_scipys_public_solvers(monkeypatch):
+    """Every solve of the HiGHS path returns what linprog or milp return for
+    the same problem: the same assignment, and prices equal bit for bit."""
+    calls = []
+    solve = matcher._HighsModel.solve
+
+    def spy(model, fixed, used, integral, nudged=False):
+        out = solve(model, fixed, used, integral, nudged)
+        calls.append((model.vehicles, dict(fixed), used, integral, nudged, out))
+        return out
+
+    monkeypatch.setattr(matcher._HighsModel, "solve", spy)
+    cases = [(problem_from_json(FIXTURES / name), matcher.SEARCH_BUDGET) for name in CLIFF_FIXTURES]
+    rng = random.Random(3030)
+    cases += [(tie_heavy_component(rng), 0) for _ in range(60)]
+    kinds = set()
+    for p, budget in cases:
+        monkeypatch.setattr(matcher, "SEARCH_BUDGET", budget)
+        calls.clear()
+        solve_ilp(p)
+        assert calls, "no component was handed to HiGHS"
+        for vehicles, fixed, used, integral, nudged, (chosen, prices) in calls:
+            want_chosen, want_prices = public_highs_solve(p, vehicles, fixed, used, integral, nudged)
+            assert chosen == want_chosen
+            assert {b: x.hex() for b, x in prices.items()} == {b: x.hex() for b, x in want_prices.items()}
+            kinds.add((integral, nudged))
+    assert kinds >= {(False, False), (False, True), (True, True)}
+
+
+def test_handover_results_do_not_depend_on_solve_order(monkeypatch):
+    """A window's matching depends on its problem alone: handovers solved
+    forward, reversed or shuffled, between windows that need none, give the
+    same matchings and totals bit for bit."""
+    handed_over = []
+    highs = matcher._solve_with_highs
+
+    def spy(vehicles, masks):
+        handed_over.append(vehicles)
+        return highs(vehicles, masks)
+
+    monkeypatch.setattr(matcher, "_solve_with_highs", spy)
+    plateau = {v: [NULL] + [Candidate(frozenset({r}), 1.0) for r in range(4)] for v in range(12)}
+    handovers = [(problem_from_json(FIXTURES / name), matcher.SEARCH_BUDGET) for name in CLIFF_FIXTURES]
+    handovers.append((problem(plateau, range(4)), 0))
+    rng = random.Random(5150)
+    quiet = [(random_problem(rng, tie_heavy=True), matcher.SEARCH_BUDGET) for _ in range(9)]
+    cases = []
+    for k, handover in enumerate(handovers):
+        cases += [handover, *quiet[3 * k : 3 * k + 3]]
+    forward = list(range(len(cases)))
+    orders = [forward, forward[::-1]]
+    for seed in (1, 2):
+        shuffled = forward[:]
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    outcomes = []
+    for order in orders:
+        outcome = {}
+        for k in order:
+            p, budget = cases[k]
+            monkeypatch.setattr(matcher, "SEARCH_BUDGET", budget)
+            handed_over.clear()
+            m = solve_ilp(p)
+            outcome[k] = (dict(m.chosen), m.total_score.hex(), len(handed_over))
+        outcomes.append(outcome)
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+    assert [k for k, (_, _, n) in outcomes[0].items() if n] == [0, 4, 8]
+
+
 def test_one_vehicle_components_take_their_lowest_top_index(monkeypatch):
     """One-vehicle components are solved without the search or HiGHS, and
     still agree with the oracle under tied maxima and ties with the null."""
