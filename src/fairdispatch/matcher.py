@@ -1,11 +1,15 @@
 """Per-window assignment: exact solver, brute-force oracle, greedy baseline.
 
 The assignment problem picks exactly one candidate action per vehicle so
-that no request is served twice, maximising the summed scores.  The exact
-solver decomposes the problem into components of vehicles linked by shared
-requests and runs one depth-first branch-and-bound per component, over
-vehicles in ascending id order, that returns the lexicographically
-smallest optimal assignment (by candidate index).
+that no request is served twice, maximising the summed scores.  Every
+matcher reads a problem once per distinct candidate tuple, so beyond one
+lookup per vehicle a window's work follows the vehicles that reach a
+request, not the fleet.  A vehicle that reaches no request takes its
+lowest-index top-scoring candidate without entering the component search.  The exact solver decomposes the
+other vehicles into components linked by shared requests and runs one
+depth-first branch-and-bound per component, over vehicles in ascending id
+order, that returns the lexicographically smallest optimal assignment (by
+candidate index).
 
 Totals and the per-vehicle bound accumulate one score per vehicle in
 ascending id order; floating-point addition is monotone, so that bound can
@@ -137,39 +141,58 @@ def _stored(values: Mapping, default) -> Mapping:
     return {v: value for v, value in values.items() if value != default}
 
 
-def _masks(p: MatchProblem) -> dict[int, list[tuple[int, float]]]:
-    """Each vehicle's (request bitmask, score) rows; refuses a malformed problem as it reads it.
+def _read(
+    p: MatchProblem,
+) -> tuple[dict[int, list[tuple[int, float]]], dict[int, int], dict[int, int]]:
+    """Reads a problem once per distinct candidate tuple; refuses a malformed one as it reads it.
 
-    Vehicles that share one candidate tuple share its rows, which are read
-    and checked once, at the first of them.
+    Returns each vehicle's (request bitmask, score) rows; the reach (the OR
+    of those bitmasks) of each vehicle that reaches a request; and the pick
+    of each vehicle that reaches none: its lowest candidate index among the
+    top scores.  The last two hold vehicles in ascending id order.  Vehicles
+    that share one candidate tuple share its rows, which are read and
+    checked once, at the first of them.
     """
     bit = {rid: 1 << i for i, rid in enumerate(sorted(p.batch_ids))}
-    out: dict[int, list[tuple[int, float]]] = {}
-    rows_of: dict[int, list[tuple[int, float]]] = {}  # by id of the candidate tuple
+    rows_of: dict[int, list[tuple[int, float]]] = {}
+    reach: dict[int, int] = {}
+    picks: dict[int, int] = {}
+    read: dict[int, tuple[list[tuple[int, float]], int, int]] = {}  # by id of the candidate tuple
     for v in p.vehicle_ids:
         cands = p.candidates[v]
-        rows = rows_of.get(id(cands))
-        if rows is not None:
-            out[v] = rows
-            continue
-        if not any(not c.requests for c in cands):
-            raise InputError(f"vehicle {v} has no null candidate")
-        rows = []
-        for c in cands:
-            mask = 0
-            try:
-                for rid in c.requests:
-                    mask |= bit[rid]
-            except KeyError:
-                stray = sorted(c.requests - p.batch_ids)
-                raise InputError(f"vehicle {v} references requests outside the batch: {stray}") from None
-            if not isfinite(c.score):
-                # No enumerate on this hot loop: an earlier equal candidate would have raised.
-                j = cands.index(c)
-                raise InputError(f"vehicle {v} candidate {j} has a non-finite score: {c.score}")
-            rows.append((mask, c.score))
-        out[v] = rows_of[id(cands)] = rows
-    return out
+        known = read.get(id(cands))
+        if known is None:
+            if not any(not c.requests for c in cands):
+                raise InputError(f"vehicle {v} has no null candidate")
+            rows = []
+            combined = 0
+            for c in cands:
+                mask = 0
+                try:
+                    for rid in c.requests:
+                        mask |= bit[rid]
+                except KeyError:
+                    stray = sorted(c.requests - p.batch_ids)
+                    raise InputError(f"vehicle {v} references requests outside the batch: {stray}") from None
+                if not isfinite(c.score):
+                    # No enumerate on this hot loop: an earlier equal candidate would have raised.
+                    j = cands.index(c)
+                    raise InputError(f"vehicle {v} candidate {j} has a non-finite score: {c.score}")
+                rows.append((mask, c.score))
+                combined |= mask
+            known = read[id(cands)] = (rows, combined, -1 if combined else _top(rows))
+        rows_of[v], combined, pick = known
+        if combined:
+            reach[v] = combined
+        else:
+            picks[v] = pick
+    return rows_of, reach, picks
+
+
+def _top(rows: list[tuple[int, float]]) -> int:
+    """The lowest index among the top scores of one vehicle's rows."""
+    scores = [score for _, score in rows]
+    return scores.index(max(scores))
 
 
 def _finish(p: MatchProblem, chosen: dict[int, int]) -> Matching:
@@ -196,9 +219,14 @@ def _finish(p: MatchProblem, chosen: dict[int, int]) -> Matching:
     )
 
 
-def _components(p: MatchProblem, masks: dict[int, list[tuple[int, float]]]) -> list[list[int]]:
-    """Vehicles grouped by transitively shared requests; independent subproblems."""
-    parent: dict[int, int] = {v: v for v in p.vehicle_ids}
+def _components(reach: dict[int, int]) -> list[list[int]]:
+    """Vehicles grouped by transitively shared requests; independent subproblems.
+
+    `reach` maps each vehicle that reaches a request, in ascending id order,
+    to the OR of its request bitmasks.  Each group lists its vehicles in
+    ascending order, and the groups come in ascending order of their first.
+    """
+    parent = {v: v for v in reach}
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -207,10 +235,7 @@ def _components(p: MatchProblem, masks: dict[int, list[tuple[int, float]]]) -> l
         return v
 
     owner_of_bit: dict[int, int] = {}
-    for v in p.vehicle_ids:
-        combined = 0
-        for mask, _ in masks[v]:
-            combined |= mask
+    for v, combined in reach.items():
         while combined:
             bit = combined & -combined
             combined ^= bit
@@ -219,9 +244,9 @@ def _components(p: MatchProblem, masks: dict[int, list[tuple[int, float]]]) -> l
             else:
                 owner_of_bit[bit] = v
     groups: dict[int, list[int]] = {}
-    for v in p.vehicle_ids:
+    for v in reach:
         groups.setdefault(find(v), []).append(v)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    return list(groups.values())
 
 
 # Work the exact search may spend on one component before HiGHS takes it
@@ -555,10 +580,12 @@ def _solve_with_highs(
 def solve_ilp(p: MatchProblem) -> Matching:
     """Optimal matching with deterministic tie-breaking.
 
-    Vehicles that share no requests form independent components and are
+    A vehicle that reaches no request takes the lowest candidate index
+    among its maximum scores without entering the component search.  The
+    other vehicles form components of vehicles linked by shared requests,
     solved separately.  A one-vehicle component takes the lowest candidate
-    index among its maximum scores.  A larger component whose exact search
-    stays within SEARCH_BUDGET gets the score-optimal assignment whose
+    index among its maximum scores too.  A larger component whose exact
+    search stays within SEARCH_BUDGET gets the score-optimal assignment whose
     candidate indices are lexicographically smallest over vehicles in
     ascending id order; the search takes the vehicles in that order and
     keeps the first such assignment it proves, with no second pass.  A
@@ -567,13 +594,10 @@ def solve_ilp(p: MatchProblem) -> Matching:
     tolerance, and the same tie-break holds among assignments within a
     relative 1e-9 of that optimum.
     """
-    masks = _masks(p)
-    chosen: dict[int, int] = {}
-    for component in _components(p, masks):
+    masks, reach, chosen = _read(p)
+    for component in _components(reach):
         if len(component) == 1:
-            v = component[0]
-            scores = [score for _, score in masks[v]]
-            chosen[v] = scores.index(max(scores))
+            chosen[component[0]] = _top(masks[component[0]])
             continue
         try:
             found = _exact_component(component, masks)
@@ -592,7 +616,7 @@ def brute_force_match(p: MatchProblem) -> Matching:
     Applies the same tie-breaking rule as solve_ilp; refuses instances whose
     candidate-list product exceeds the enumeration budget.
     """
-    masks = _masks(p)
+    masks, _, _ = _read(p)
     size = 1
     for v in p.vehicle_ids:
         size *= len(p.candidates[v])
@@ -627,12 +651,13 @@ def brute_force_match(p: MatchProblem) -> Matching:
 
 def async_greedy_match(p: MatchProblem, seed: int) -> Matching:
     """Decentralised baseline: vehicles pick greedily in seed-shuffled order."""
-    masks = _masks(p)
+    masks, _, chosen = _read(p)
     order = list(p.vehicle_ids)
     random.Random(seed).shuffle(order)
     used = 0
-    chosen: dict[int, int] = {}
     for v in order:
+        if v in chosen:  # it reaches no request, so its pick collides with nothing
+            continue
         best_i = None
         best_score = -inf
         for i, (mask, score) in enumerate(masks[v]):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -158,8 +160,9 @@ def test_every_matcher_refuses_a_non_finite_score(solve, bad):
 )
 def test_a_shared_candidate_tuple_is_read_once_and_refused_at_its_first_vehicle(solve):
     shared = (NULL,)
-    masks = matcher._masks(MatchProblem.build({v: shared for v in (4, 2, 9)}, []))
+    masks, reach, picks = matcher._read(MatchProblem.build({v: shared for v in (4, 2, 9)}, []))
     assert masks[2] is masks[4] is masks[9] == [(0, 0.0)]
+    assert reach == {} and picks == {2: 0, 4: 0, 9: 0}
     for bad, message in [
         ((Candidate(frozenset(), float("nan")),), "vehicle 2 candidate 0 has a non-finite score"),
         ((Candidate(frozenset({1}), 1.0),), "vehicle 2 has no null candidate"),
@@ -167,6 +170,37 @@ def test_a_shared_candidate_tuple_is_read_once_and_refused_at_its_first_vehicle(
     ]:
         with pytest.raises(InputError, match=message):
             solve(MatchProblem.build({0: (NULL,), 9: bad, 2: bad, 4: bad}, [1]))
+
+
+@pytest.mark.parametrize(
+    "solve", [solve_ilp, brute_force_match, lambda p: async_greedy_match(p, 0)]
+)
+def test_errors_follow_vehicle_ids_past_shared_tuples(solve):
+    """The first malformed vehicle in ascending id order is named, whether its
+    tuple is shared or follows a shared null-only tuple; within a tuple the
+    rows are checked in order."""
+    nan, inf = float("nan"), float("inf")
+    null_only = (Candidate(frozenset(), -1.0), Candidate(frozenset(), 0.5))
+    no_null = (Candidate(frozenset({1}), 1.0),)
+    nan_then_stray = (NULL, Candidate(frozenset({1}), nan), Candidate(frozenset({7}), 1.0))
+    stray = (NULL, Candidate(frozenset({7, 8}), 1.0))
+    cases = [
+        # a malformed tuple shared by two vehicles, before another malformed vehicle
+        ({0: null_only, 5: no_null, 3: no_null, 7: stray}, "vehicle 3 has no null candidate"),
+        ({5: nan_then_stray, 3: nan_then_stray, 1: null_only},
+         "vehicle 3 candidate 1 has a non-finite score: nan"),
+        # a malformed vehicle after a shared null-only tuple
+        ({0: null_only, 1: null_only, 2: stray, 3: null_only, 4: (Candidate(frozenset(), nan),)},
+         "vehicle 2 references requests outside the batch: [7, 8]"),
+        ({0: null_only, 2: null_only, 6: no_null, 9: null_only}, "vehicle 6 has no null candidate"),
+        # a null-only tuple that is itself malformed, shared
+        ({1: null_only, 6: (NULL, Candidate(frozenset(), inf)), 8: (NULL, Candidate(frozenset(), inf))},
+         "vehicle 6 candidate 1 has a non-finite score: inf"),
+    ]
+    for cands, message in cases:
+        with pytest.raises(InputError) as raised:
+            solve(MatchProblem.build(cands, [1]))
+        assert str(raised.value) == message
 
 
 def random_problem(rng: random.Random, tie_heavy: bool) -> MatchProblem:
@@ -536,7 +570,7 @@ def public_highs_solve(p: MatchProblem, vehicles, fixed, used, integral, nudged)
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-    masks = matcher._masks(p)
+    masks, _, _ = matcher._read(p)
     bits: list[int] = []
     for v in vehicles:
         for mask, _ in masks[v]:
@@ -703,6 +737,87 @@ def test_one_vehicle_components_take_their_lowest_top_index(monkeypatch):
         assert a.chosen == b.chosen, i
         assert a.total_score == b.total_score, i
     assert dict(solve_ilp(tied).chosen) == {0: 0, 1: 2, 2: 0}
+
+
+def null_heavy_problem(rng: random.Random) -> MatchProblem:
+    """Vehicles holding shared null-only tuples, equal but unshared copies of
+    them (as problem_from_json builds them), fresh null-only tuples, and
+    vehicles that reach requests.  Null-only tuples have one to three rows;
+    scores include ties away from index 0, negatives and -0.0."""
+    scores = [0.0, -0.0, -1.0, -0.25, 1.0, 1.0, 2.0]
+
+    def null_rows() -> tuple[Candidate, ...]:
+        return tuple(Candidate(frozenset(), rng.choice(scores)) for _ in range(rng.choice([1, 1, 2, 3])))
+
+    shared = [null_rows() for _ in range(rng.randint(1, 3))]
+    batch = list(range(100, 100 + rng.randint(0, 4)))
+    pool = [frozenset(c) for k in (1, 2) for c in combinations(batch, k)]
+    cands = {}
+    for v in rng.sample(range(30), rng.randint(1, 10)):
+        kind = rng.random()
+        if kind < 0.45:
+            cands[v] = rng.choice(shared)
+        elif kind < 0.6:
+            cands[v] = tuple(list(rng.choice(shared)))
+        elif kind < 0.75 or not pool:
+            cands[v] = null_rows()
+        else:
+            rows = list(null_rows())
+            for ids in rng.sample(pool, rng.randint(1, min(3, len(pool)))):
+                rows.insert(rng.randint(0, len(rows)), Candidate(ids, rng.choice(scores)))
+            cands[v] = rows
+    return MatchProblem.build(cands, batch)
+
+
+def null_heavy_problems(count: int) -> list[MatchProblem]:
+    rng = random.Random(3131)
+    problems = []
+    while len(problems) < count:
+        p = null_heavy_problem(rng)
+        size = 1
+        for v in p.vehicle_ids:
+            size *= len(p.candidates[v])
+        if size <= 5000:
+            problems.append(p)
+    return problems
+
+
+def test_null_only_vehicles_take_the_oracles_pick():
+    """Vehicles whose candidates reach no request, many of them sharing one
+    tuple, match the oracle beside vehicles that compete for requests."""
+    problems = null_heavy_problems(400)
+    shared = tied_late = several_nulls = negative_zero = 0
+    for i, p in enumerate(problems):
+        a, b = solve_ilp(p), brute_force_match(p)
+        assert dict(a.chosen) == dict(b.chosen), i
+        assert dict(a.assigned) == dict(b.assigned), i
+        assert a.total_score.hex() == b.total_score.hex(), i
+        tuples = Counter(id(c) for c in p.candidates.values())
+        shared += any(n > 1 for n in tuples.values())
+        for v in p.vehicle_ids:
+            rows = [c.score for c in p.candidates[v]]
+            if any(c.requests for c in p.candidates[v]):
+                continue
+            several_nulls += len(rows) > 1
+            tied_late += rows.count(max(rows)) > 1 and rows[0] != max(rows)
+            negative_zero += any(str(s) == "-0.0" for s in rows)
+    assert min(shared, tied_late, several_nulls, negative_zero) >= 40
+
+
+# sha256 of async_greedy_match's results over null_heavy_problems(400) at
+# seeds 0-2, recorded before null-only vehicles took their pick in it.
+GREEDY_DIGEST = "d7d1cf4c0b2ea55aa823174454906e1d4b951a101be72e7a6068f2955f35b435"
+
+
+def test_greedy_results_are_pinned():
+    results = []
+    for p in null_heavy_problems(400):
+        for seed in range(3):
+            m = async_greedy_match(p, seed)
+            results.append([sorted(m.chosen.items()), sorted((v, sorted(r)) for v, r in m.assigned.items()),
+                            m.total_score.hex()])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == GREEDY_DIGEST
 
 
 def test_tie_plateau_stays_in_the_exact_search(monkeypatch):

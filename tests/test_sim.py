@@ -163,7 +163,8 @@ def test_bundle_3_desk_run_keeps_the_oracle_and_conserves_requests(monkeypatch):
     assert any(len(ids) == 3 for window in result.matchings for ids in window.values())
     checked = 0
     for p, m in zip(problems, matchings, strict=True):
-        for component in matcher._components(p, matcher._masks(p)):
+        _, reach, picks = matcher._read(p)
+        for component in matcher._components(reach) + [[v] for v in picks]:
             sub = matcher.MatchProblem.build({v: p.candidates[v] for v in component}, p.batch_ids)
             try:
                 oracle = matcher.brute_force_match(sub)
