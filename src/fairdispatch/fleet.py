@@ -13,7 +13,7 @@ distance table by location index, so each returned action carries the
 minimum added travel time realisation of its request set.  The search keeps
 the first fastest order it finds with the pickup times along it, so a plan's
 new dropoff deadlines come from the search, not from a second walk of the
-order.
+order.  On the network's time grid its sums, and so its prunes, are exact.
 
 One-request plans on an empty route (one order) or on a route of one
 carried dropoff (three orders) are decided without the search, with the
@@ -47,7 +47,7 @@ import numpy as np
 from ._records import read_records
 from .demand import Request
 from .errors import ConfigError, ContractError, InputError, ParseError
-from .network import StreetNetwork
+from .network import StreetNetwork, on_grid
 
 PICKUP = "pickup"
 DROPOFF = "dropoff"
@@ -70,15 +70,6 @@ MAX_BUNDLE = 4
 # with no requests took 0.08 s while every vehicle was also enumerated and
 # scored (0.004 s without); at 100,000 that window alone took 0.95 s.
 MAX_FLEET = 10_000
-# The reject test in `reachable_requests` bounds the search's float sums by
-# sums along other paths through the table, which round differently: with
-# costs in thirds, 600 + 2/3 + 2/3 rounds below 600 + 4/3.  A float sum of m
-# nonnegative terms is within m * 2**-53 of its exact value, relatively, and
-# each table entry is Dijkstra's sum of fewer than `MAX_LOCATIONS` edge
-# costs, so on routes of up to 400 stops the two sides of a bound hold fewer
-# than 2**23 roundings between them.  Each bound is loosened by 2**-30 of its
-# size, which covers them; at a day's times (under 10**5 s) that is 0.1 ms.
-_ROUNDING = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -102,6 +93,7 @@ class RideConstraints:
             raise ConfigError(f"max_detour must be >= 0, got {self.max_detour}")
         if not 1 <= self.max_bundle <= MAX_BUNDLE:
             raise ConfigError(f"max_bundle must be in 1..{MAX_BUNDLE}, got {self.max_bundle}")
+        object.__setattr__(self, "max_detour", on_grid(self.max_detour))
 
 
 @dataclass
@@ -318,12 +310,9 @@ def reachable_requests(
       `t0 + T[o,p] + direct + T[d,s] <= D_s`.
 
     A hit for which some stop meets none of the three bounds has no plan, and
-    is dropped unsearched.  The bounds hold in exact arithmetic.  In floats
-    the search's sums run along other paths and may round to the other side
-    of a bound, so each deadline is loosened by `_ROUNDING` of its size, and
-    the detour room by that share of the latest the dropoff can be due,
-    `due_p + direct + max_detour`.  So the test rejects only hits for which
-    `_PlanSearch.run` finds no plan.
+    is dropped unsearched.  Every sum the search and the test form is exact
+    on the network's time grid, so the bounds hold as written: the test
+    rejects only hits for which `_PlanSearch.run` finds no plan.
     """
     entries: list[Sequence[Action]] = [_NOTHING_REACHED] * len(vehicles)
     seated = [k for k, v in enumerate(vehicles) if v.capacity > len(v.onboard)]
@@ -364,8 +353,8 @@ def reachable_requests(
     # Hits come row by row, each row's in ascending request id, so one
     # vehicle's hits are consecutive.  At a long-route vehicle's first, its
     # stops are tabulated for the reject test: each one's table row and
-    # column, arrival time straight from the start and deadline, loosened by
-    # `_ROUNDING`.  Its search is built at its first hit that the test keeps.
+    # column, arrival time straight from the start and deadline.  Its search
+    # is built at its first hit that the test keeps.
     for row, i in zip(*(hits.tolist() for hits in np.nonzero(in_time))):
         k, origin = seated[row], plan_origins[row]
         if entries[k] is _NOTHING_REACHED:
@@ -374,8 +363,7 @@ def reachable_requests(
                 s, start, search, stops = origins[row] * n, t0[row], None, []
                 for stop in vehicles[k].route:
                     a = net.index_of(stop.location)
-                    loose = stop.deadline + abs(stop.deadline) * _ROUNDING
-                    stops.append((a * n, a, start + times[s + a], loose))
+                    stops.append((a * n, a, start + times[s + a], stop.deadline))
         if origin is not None:
             single = _single_plan(times, n, max_detour, origin, trips[i])
         elif _misses_a_deadline(times, n, max_detour, s, start, stops, trips[i]):
@@ -407,9 +395,7 @@ def _misses_a_deadline(
     _, pk, dk, due, direct, _ = trip
     p, d = pk * n, dk * n
     picked = t0 + times[s + pk]
-    due += abs(due) * _ROUNDING
     room = direct + max_detour
-    room += (due + room) * _ROUNDING
     for row, a, reached, deadline in stops:
         if reached + times[row + pk] <= due:  # the stop first
             continue

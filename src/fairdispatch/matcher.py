@@ -196,14 +196,16 @@ def _top(rows: list[tuple[int, float]]) -> int:
 
 
 def _finish(p: MatchProblem, chosen: dict[int, int]) -> Matching:
-    if set(chosen) != set(p.vehicle_ids):
+    if len(chosen) != len(p.vehicle_ids):
         raise ContractError("matching must assign exactly one action per vehicle")
     indices: dict[int, int] = {}
     requests: dict[int, frozenset[int]] = {}
     seen: set[int] = set()
     total = 0.0
     for v in p.vehicle_ids:
-        i = chosen[v]
+        i = chosen.get(v)
+        if i is None:
+            raise ContractError("matching must assign exactly one action per vehicle")
         picked = p.candidates[v][i]
         if i:
             indices[v] = i

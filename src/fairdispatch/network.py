@@ -1,14 +1,13 @@
 """Street graph, travel-time queries, and the geographic area partition.
 
 The network is a directed graph of integer location ids with strictly
-positive edge costs in seconds.  All-pairs shortest travel times, and the
-next hop along each shortest path, are precomputed at construction time with
-`scipy.sparse.csgraph.dijkstra`, a block of sources at a time, so lookups
-inside the dispatch loop are plain table reads returning `float` and `int`.
+positive edge costs in seconds, rounded to `TIME_GRID`.  All-pairs shortest
+travel times and next hops are precomputed with `scipy.sparse.csgraph`'s
+`dijkstra`, a block of sources at a time, so lookups are plain table reads.
 
 Among equal-cost shortest paths the next hop is fixed by one rule.  The
 parent of t on paths from s is the in-neighbour u whose edge is tight
-(`d(s, u) + cost == d(s, t)`, compared as floats) with the least
+(`d(s, u) + cost == d(s, t)`, exact on the grid) with the least
 `(d(s, u), u)`; the next hop from s to t is the node of t's parent chain
 whose parent is s.  This is the path a heap Dijkstra finds when it settles
 nodes in (distance, id) order and relaxes only on a strictly shorter
@@ -24,10 +23,7 @@ check a whole fleet against a whole batch in one comparison.
 
 The two tables take 12 bytes per ordered pair of locations (a float64 and a
 C int), 12 * n**2 bytes in all, so a network above `MAX_LOCATIONS` is
-refused before either is allocated.  An edge whose cost vanishes against a
-finite distance it extends (`d(s, u) + cost == d(s, u)`, as with 1e-300
-beside 1000) is refused too: ties through it would follow the heap's order,
-not (distance, id).
+refused before either is allocated.
 """
 
 from __future__ import annotations
@@ -50,6 +46,12 @@ UNREACHABLE = math.inf
 # The distance and next-hop tables take 12 bytes per ordered pair of
 # locations (a float64 and a C int): 1.2 GB at this ceiling.
 MAX_LOCATIONS = 10_000
+# Edge costs, window lengths and detour allowances are rounded to this grid,
+# whose multiples below 2**33 s add exactly.  A window adds one travel time to
+# a time that met a deadline: an arrival before the horizon, plus the wait, a
+# ride and the detour; with each at most `MAX_SECONDS`, under 5 * 2**30 s.
+TIME_GRID = 2.0**-20
+MAX_SECONDS = 2**30
 _SOURCE_BLOCK = 128  # Dijkstra sources per block; bounds the per-block arrays
 
 
@@ -115,10 +117,15 @@ class StreetNetwork:
         return self.locations[hop]
 
 
+def on_grid(seconds: float) -> float:
+    """The multiple of `TIME_GRID` nearest to `seconds` (ties to even), exactly; infinities pass."""
+    return seconds - math.remainder(seconds, TIME_GRID) if math.isfinite(seconds) else seconds
+
+
 def from_edges(
     locations: Iterable[int], edges: Iterable[tuple[int, int, float]]
 ) -> StreetNetwork:
-    """Build a network from explicit locations and directed weighted edges."""
+    """Build a network from explicit locations and directed weighted edges, costs on the grid."""
     locs = tuple(sorted(set(locations)))
     if len(locs) > MAX_LOCATIONS:
         raise InputError(_too_many(len(locs)))
@@ -127,9 +134,10 @@ def from_edges(
     for u, v, cost in edges:
         if u not in index or v not in index:
             raise InputError(f"edge ({u}, {v}) references an undeclared location")
-        if not (cost > 0 and math.isfinite(cost)):
-            raise InputError(f"edge ({u}, {v}) has non-positive cost {cost}")
-        edge_list.append((u, v, float(cost)))
+        seconds = on_grid(float(cost))
+        if not (seconds > 0 and math.isfinite(seconds)):
+            raise InputError(f"edge ({u}, {v}) cost {cost!r} does not round to a positive time on the 2**-20 s grid")
+        edge_list.append((u, v, seconds))
     dist, next_hop = _all_pairs(locs, index, edge_list)
     return StreetNetwork(locs, tuple(edge_list), index, dist, next_hop)
 
@@ -182,6 +190,11 @@ def _all_pairs(
     for first in range(0, n, _SOURCE_BLOCK):
         sources = np.arange(first, min(first + _SOURCE_BLOCK, n))
         d = dijkstra(graph, indices=sources)
+        far = (d > MAX_SECONDS) & (d < UNREACHABLE)
+        if np.any(far):
+            i, j = np.argwhere(far)[0]
+            raise InputError(f"travel time {float(d[i, j])!r} s from {locs[sources[i]]} "
+                             f"to {locs[j]} exceeds the ceiling of {MAX_SECONDS} s")
         # Column k holds source k's distances, one row per node.
         dt = np.ascontiguousarray(d.T)
         # parent[t, k]: the in-neighbour u of t whose relaxation settled
@@ -190,16 +203,8 @@ def _all_pairs(
         least = np.full(dt.shape, np.inf)
         for tails, heads, costs in layers:
             via = dt[tails]
-            reach = via + costs
-            extends = np.isfinite(via)
-            if np.any(extends & (reach == via)):
-                e, k = np.argwhere(extends & (reach == via))[0]
-                raise InputError(
-                    f"edge ({locs[tails[e]]}, {locs[heads[e]]}) cost {float(costs[e, 0])!r} "
-                    f"vanishes against distance {float(via[e, k])!r}"
-                )
             best = least[heads]
-            tight = extends & (reach == dt[heads]) & (via < best)
+            tight = (via + costs == dt[heads]) & (via < best)
             least[heads] = np.where(tight, via, best)
             parent[heads] = np.where(tight, tails[:, None], parent[heads])
         # The hop to t is the node of t's parent chain whose parent is the

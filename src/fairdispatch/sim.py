@@ -44,7 +44,7 @@ from .metrics import (
     update_driver_history,
     update_passenger_history,
 )
-from .network import AreaPartition, GroupId, StreetNetwork, group_of, grid_partition, make_grid
+from .network import MAX_SECONDS, AreaPartition, GroupId, StreetNetwork, group_of, grid_partition, make_grid, on_grid
 from .scoring import (
     ScoreWeights,
     ValueFunction,
@@ -77,6 +77,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.matcher not in MATCHER_KINDS:
             raise ConfigError(f"unknown matcher {self.matcher!r}")
+        object.__setattr__(self, "window_len", on_grid(self.window_len))
         for name in ("window_len", "horizon"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
@@ -90,6 +91,9 @@ class SimConfig:
             raise ConfigError(
                 f"window_len {self.window_len} does not divide horizon {self.horizon}"
             )
+        for name in ("horizon", "max_wait", "max_detour"):
+            if not getattr(self, name) <= MAX_SECONDS:
+                raise ConfigError(f"{name} {getattr(self, name)} exceeds the ceiling of {MAX_SECONDS} s")
 
     @property
     def n_windows(self) -> int:

@@ -22,7 +22,7 @@ from fairdispatch.fleet import (
     random_fleet,
     reachable_requests,
 )
-from fairdispatch.network import UNREACHABLE, GroupId, from_edges, make_grid
+from fairdispatch.network import UNREACHABLE, GroupId, from_edges, make_grid, on_grid
 
 from conftest import keep_route
 
@@ -333,17 +333,25 @@ def test_unreachable_dropoff_yields_no_single():
 
 
 def test_one_stop_route_keeps_the_search_lookahead():
-    # 0 -> 1 -> 2 at 2/3 a hop: d(0, 2) = 4/3, but (600 + 2/3) + 2/3 < 600 + 4/3
-    # by an ulp, so (pickup 0, dropoff 1, old dropoff 2) meets the old
-    # deadline while the search's lookahead, 600 + d(0, 2), misses it.
+    # 0 -> 1 -> 2 at 2/3 a hop, which the grid rounds to a hop just above
+    # 2/3.  The only plan, (pickup 0, dropoff 1, old dropoff 2), reaches the
+    # old dropoff at (600 + hop) + hop, the same exact sum as the search's
+    # lookahead, 600 + d(0, 2).  An old deadline of (600 + 2/3) + 2/3 lies
+    # below it: the search, the singles and the bundles find no plan.  A
+    # deadline on it: all three find the plan.
     net = from_edges([0, 1, 2], [(0, 1, 2 / 3), (1, 2, 2 / 3)])
-    deadline = (600.0 + 2 / 3) + 2 / 3
-    assert 600.0 + net.travel_time(0, 2) > deadline
-    v = VehicleState(0, 0, capacity=2, route=[Stop(2, 9, DROPOFF, deadline)], onboard={9})
+    hop = net.travel_time(0, 1)
+    below, on = (600.0 + 2 / 3) + 2 / 3, 600.0 + net.travel_time(0, 2)
+    assert below < (600.0 + hop) + hop == on
     r = req(0, 0, 1, arrival=590.0)
-    assert not _PlanSearch(v, 600.0, net, C).run([r])
-    assert reachable_requests([v], [r], 600.0, net, C) == [[]]  # the hit had no plan
-    assert feasible(v, [r], 600.0, net, C) == []
+    for deadline, plans in ((below, False), (on, True)):
+        v = VehicleState(0, 0, capacity=2, route=[Stop(2, 9, DROPOFF, deadline)], onboard={9})
+        search = _PlanSearch(v, 600.0, net, C)
+        assert search.run([r]) is plans
+        want = [search.action((r,))] if plans else []
+        assert reachable_requests([v], [r], 600.0, net, C) == [want]
+        assert feasible(v, [r], 600.0, net, C) == want
+    assert [s.location for s in want[0].plan] == [0, 1, 2]
 
 
 def walk_order(v, order, now, net, constraints, r):
@@ -737,63 +745,78 @@ def interleave(rng, rides):
     return order
 
 
+def long_route_trial(rng, progress_on_grid=False):
+    """One drawn long-route single at 600 s: (network, vehicle, constraints, batch).
+
+    Routes of two to five stops mix dropoffs of riders on board with queued
+    rides, pickup before dropoff; costs are drawn in thirds, which the
+    network rounds to its time grid, and vehicles may be mid-edge, a third or
+    a half of the way along, rounded to the grid when `progress_on_grid`.
+    Route deadlines, the pickup's due time and the detour allowance are set
+    exactly on the reject test's bounds or a third past them, or all on the
+    search's own times along one random order of the stops, so deadlines and
+    arrivals may lie off the grid.  Request 0 is the drawn single; request 1
+    is drawn anywhere.
+    """
+    lonely = 100
+    locs = rng.sample(range(20), rng.randint(3, 6))
+    costs = [k / 3 for k in range(1, 10)]
+    edges = [(u, w, rng.choice(costs)) for u in locs for w in locs if u != w and rng.random() < 0.7]
+    net = from_edges([*locs, lonely], edges)
+    T = net.travel_time
+    now = 600.0
+    size = rng.randint(2, 5)
+    queued = rng.randint(0, size // 2)
+    onboard = range(90, 90 + size - 2 * queued)
+    rides = [[Stop(rng.choice(locs), rid, DROPOFF, 1e9)] for rid in onboard]
+    rides += [[Stop(rng.choice(locs), rid, kind, 1e9) for kind in (PICKUP, DROPOFF)] for rid in range(95, 95 + queued)]
+    v = VehicleState(0, rng.choice(locs), rng.randint(len(onboard) + 1, 6))
+    v.route, v.onboard = interleave(rng, rides), set(onboard)
+    if edges and rng.random() < 0.3:
+        u, w, cost = rng.choice(edges)
+        v.location, v.next_node = u, w
+        v.edge_progress = rng.choice([0.0, cost / 3, cost / 2])
+        if progress_on_grid:
+            v.edge_progress = on_grid(v.edge_progress)
+    start, offset = v.planning_origin(net)
+    pickup, dropoff = rng.sample([*locs, lonely] if rng.random() < 0.1 else locs, 2)
+    direct, picked = T(pickup, dropoff), now + offset + T(start, pickup)
+    # The search's times along one order of the route's stops and the request's.
+    walked, t, at = {}, now + offset, start
+    for stop in interleave(rng, [*rides, [Stop(pickup, 0, PICKUP, 0.0), Stop(dropoff, 0, DROPOFF, 0.0)]]):
+        t += T(at, stop.location)
+        walked[stop.request_id, stop.kind], at = t, stop.location
+    on_walk = walked[0, DROPOFF] - walked[0, PICKUP] - direct
+    tight = rng.random() < 0.4  # every deadline on the walk
+    past = rng.choice([0.0, 0.0, 1 / 3])
+    firsts = [now + offset + T(start, s.location) + T(s.location, pickup) for s in v.route]
+    due = walked[0, PICKUP] if tight else rng.choice([*firsts, walked[0, PICKUP], picked + 1.0]) - past
+    if not due < UNREACHABLE:
+        due = picked
+    detours = [T(pickup, s.location) + T(s.location, dropoff) - direct for s in v.route]
+    max_detour = on_walk if tight else rng.choice([*detours, on_walk, 300.0]) - past
+    if not 0 <= max_detour < UNREACHABLE:
+        max_detour = 0.0
+    cons = RideConstraints(max_wait=1.0, max_detour=max_detour, max_bundle=1)
+    for k, s in enumerate(v.route):
+        bounds = [picked + T(pickup, s.location), picked + direct + T(dropoff, s.location), walked[s.request_id, s.kind]]
+        deadline = walked[s.request_id, s.kind] if tight else rng.choice(bounds) - rng.choice([0.0, 0.0, 1 / 3])
+        v.route[k] = Stop(s.location, s.request_id, s.kind, deadline if deadline < UNREACHABLE else 1e9)
+    batch = [req(0, pickup, dropoff, arrival=due - 1.0), req(1, *rng.sample(locs, 2), arrival=now - rng.choice([0.0, 1 / 3]))]
+    return net, v, cons, batch
+
+
 def test_long_route_singles_equal_the_plan_search():
     """On routes of two or more stops, `reachable_requests` drops only hits the plan search fails.
 
-    Routes of two to five stops mix dropoffs of riders on board with queued
-    rides, pickup before dropoff; costs in thirds make the search's float
-    sums and the reject test's round apart, and vehicles may be mid-edge.
-    Route deadlines, the pickup's due time and the detour allowance are set
-    exactly on the reject test's bounds or a third past them, or all on the
-    search's own times along one random order of the stops.  Every hit's
-    single must be the search's, to the bit, or absent when it finds none.
+    Every hit's single of `long_route_trial`'s draws must be the search's, to
+    the bit, or absent when it finds none.
     """
     rng = random.Random(29)
     reached = Counter()
-    lonely = 100
+    now = 600.0
     for trial in range(1500):
-        locs = rng.sample(range(20), rng.randint(3, 6))
-        costs = [k / 3 for k in range(1, 10)]
-        edges = [(u, w, rng.choice(costs)) for u in locs for w in locs if u != w and rng.random() < 0.7]
-        net = from_edges([*locs, lonely], edges)
-        T = net.travel_time
-        now = 600.0
-        size = rng.randint(2, 5)
-        queued = rng.randint(0, size // 2)
-        onboard = range(90, 90 + size - 2 * queued)
-        rides = [[Stop(rng.choice(locs), rid, DROPOFF, 1e9)] for rid in onboard]
-        rides += [[Stop(rng.choice(locs), rid, kind, 1e9) for kind in (PICKUP, DROPOFF)] for rid in range(95, 95 + queued)]
-        v = VehicleState(0, rng.choice(locs), rng.randint(len(onboard) + 1, 6))
-        v.route, v.onboard = interleave(rng, rides), set(onboard)
-        if edges and rng.random() < 0.3:
-            u, w, cost = rng.choice(edges)
-            v.location, v.next_node = u, w
-            v.edge_progress = rng.choice([0.0, cost / 3, cost / 2])
-        start, offset = v.planning_origin(net)
-        pickup, dropoff = rng.sample([*locs, lonely] if rng.random() < 0.1 else locs, 2)
-        direct, picked = T(pickup, dropoff), now + offset + T(start, pickup)
-        # The search's times along one order of the route's stops and the request's.
-        walked, t, at = {}, now + offset, start
-        for stop in interleave(rng, [*rides, [Stop(pickup, 0, PICKUP, 0.0), Stop(dropoff, 0, DROPOFF, 0.0)]]):
-            t += T(at, stop.location)
-            walked[stop.request_id, stop.kind], at = t, stop.location
-        on_walk = walked[0, DROPOFF] - walked[0, PICKUP] - direct
-        tight = rng.random() < 0.4  # every deadline on the walk
-        past = rng.choice([0.0, 0.0, 1 / 3])
-        firsts = [now + offset + T(start, s.location) + T(s.location, pickup) for s in v.route]
-        due = walked[0, PICKUP] if tight else rng.choice([*firsts, walked[0, PICKUP], picked + 1.0]) - past
-        if not due < UNREACHABLE:
-            due = picked
-        detours = [T(pickup, s.location) + T(s.location, dropoff) - direct for s in v.route]
-        max_detour = on_walk if tight else rng.choice([*detours, on_walk, 300.0]) - past
-        if not 0 <= max_detour < UNREACHABLE:
-            max_detour = 0.0
-        cons = RideConstraints(max_wait=1.0, max_detour=max_detour, max_bundle=1)
-        for k, s in enumerate(v.route):
-            bounds = [picked + T(pickup, s.location), picked + direct + T(dropoff, s.location), walked[s.request_id, s.kind]]
-            deadline = walked[s.request_id, s.kind] if tight else rng.choice(bounds) - rng.choice([0.0, 0.0, 1 / 3])
-            v.route[k] = Stop(s.location, s.request_id, s.kind, deadline if deadline < UNREACHABLE else 1e9)
-        batch = [req(0, pickup, dropoff, arrival=due - 1.0), req(1, *rng.sample(locs, 2), arrival=now - rng.choice([0.0, 1 / 3]))]
+        net, v, cons, batch = long_route_trial(rng)
 
         got = reachable_requests([v], batch, now, net, cons)[0]
         hits = scalar_reachable(v, batch, now, net, cons)
@@ -808,15 +831,34 @@ def test_long_route_singles_equal_the_plan_search():
             if want is None:
                 reached[f"no plan, {reason or 'kept'}"] += 1
             else:
-                reached["a plan only the margin keeps"] += reason is not None
                 reached["a plan kept by the after-dropoff bound"] += after_only
                 reached["a plan with a stop on a bound"] += on_bound
     assert set(reached) == {
         "no plan, route deadline",
         "no plan, dropoff detour",
         "no plan, kept",
-        "a plan only the margin keeps",
         "a plan kept by the after-dropoff bound",
         "a plan with a stop on a bound",
     }, reached
     assert all(reached.values()), reached
+
+
+def test_long_route_singles_equal_the_oracle_on_the_grid():
+    """With costs drawn off the grid, the singles are the exhaustive oracle's.
+
+    `long_route_trial`'s draws, with a mid-edge vehicle's progress on the
+    grid, as `advance` leaves it, and arrivals off it.  The requests that
+    `reachable_requests` and `feasible` serve are the hits the oracle serves
+    in finite time, each by a plan that meets every deadline and completes
+    at the oracle's time.
+    """
+    rng = random.Random(29)
+    now = 600.0
+    for trial in range(1000):
+        net, v, cons, batch = long_route_trial(rng, progress_on_grid=True)
+        hits = scalar_reachable(v, batch, now, net, cons)
+        expected = oracle_feasible(v, hits, now, net, cons) if hits else {}
+        served = {ids: t for ids, t in expected.items() if ids and t < UNREACHABLE}
+        for actions in (reachable_requests([v], batch, now, net, cons)[0], feasible(v, batch, now, net, cons)):
+            walked = {a.request_ids(): walk_order(v, a.plan, now, net, cons, a.requests[0]) for a in actions}
+            assert walked == served, trial

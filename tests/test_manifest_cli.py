@@ -276,6 +276,10 @@ OVERSIZED = {
     "expected requests": ({"requests": {"profile": {"rates": [[0, 0, 1e9]]}}}, "rates"),
     "grid locations": ({"network": {"grid": {"rows": 1000, "cols": 1000}}}, "grid 1000x1000"),
     "network file locations": ({"network": {"path": "net.csv"}}, "net.csv:5001"),
+    # past 2**30 s a window's sums would leave the exact time grid
+    "horizon": ({"horizon": 1_080_000_000, "window_len": 3600}, "horizon 1080000000"),
+    "max_wait": ({"max_wait": 1.1e9}, "max_wait 1100000000.0 exceeds the ceiling of 1073741824 s"),
+    "max_detour": ({"max_detour": 1.1e9}, "max_detour 1100000000.0 exceeds the ceiling of 1073741824 s"),
 }
 
 
@@ -321,6 +325,18 @@ REFUSED = {
     "random fleet capacity": ({"fleet": {"random": {"size": 2, "capacity": 7}}}, "capacity"),
     "fleet file capacity": ({"fleet": {"path": "wide-fleet.csv"}}, "wide-fleet.csv:1: vehicle 0: capacity"),
     "max_bundle": ({"max_bundle": 5}, "max_bundle must be in 1..4, got 5"),
+    # times below half the 2**-20 s grid round to 0
+    "edge cost below the time grid": (
+        {"network": {"grid": {"rows": 3, "cols": 3, "edge_cost": 1e-9}}},
+        "edge (0, 1) cost 1e-09 does not round to a positive time on the 2**-20 s grid",
+    ),
+    "window_len below the time grid": (
+        {"window_len": 1e-9, "horizon": 1e-6}, "window_len must be positive"
+    ),
+    "travel time past the ceiling": (
+        {"network": {"path": "far-net.csv"}, "partition": {"path": "part.csv"}},
+        "far-net.csv: travel time 1200000000.0 s from 0 to 2 exceeds the ceiling of 1073741824 s",
+    ),
     # a negative omega would reward added travel time instead of charging it
     "negative vfa omega": (
         {"vfa": {"kind": "delay", "omega": -5}}, "omega must be finite and nonnegative, got -5.0"
@@ -359,6 +375,7 @@ def test_disagreeing_or_oversized_scenario_exits_2(tmp_path, capsys, case):
     (tmp_path / "vfa.csv").write_text("0,1,0,0.5\n")
     (tmp_path / "big-fleet.csv").write_text("".join(f"{i},0,2\n" for i in range(10_001)))
     (tmp_path / "wide-fleet.csv").write_text("0,0,7\n")
+    (tmp_path / "far-net.csv").write_text("0,1,600000000\n1,2,600000000\n2,0,600000000\n")
     overrides, shown = REFUSED[case]
     manifest = str(write_manifest(tmp_path / "m.json", **overrides))
     for command in (["validate-config"], ["run", "--out", str(tmp_path / "run")]):
@@ -374,7 +391,7 @@ def test_vanishing_edge_cost_exits_2(tmp_path, capsys):
         tmp_path / "m.json", network={"path": "net.csv"}, partition={"path": "part.csv"}
     )
     assert main(["validate-config", "--manifest", str(manifest)]) == 2
-    assert "net.csv: edge (1, 2) cost 1e-300 vanishes" in capsys.readouterr().err
+    assert "net.csv: edge (1, 2) cost 1e-300 does not round to a positive time on the 2**-20 s grid" in capsys.readouterr().err
 
 
 def test_non_utf8_or_non_finite_inputs_exit_2(tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairdispatch import matcher
-from fairdispatch.errors import InputError, InstanceTooLargeError, ParseError
+from fairdispatch.errors import ContractError, InputError, InstanceTooLargeError, ParseError
 from fairdispatch.matcher import (
     Candidate,
     MatchProblem,
@@ -39,6 +39,18 @@ def two_vehicle_example() -> MatchProblem:
         },
         [1, 2],
     )
+
+
+@pytest.mark.parametrize(
+    "chosen",
+    [{1: 1}, {1: 1, 2: 0, 3: 0}, {1: 1, 3: 0}],
+    ids=["a missing vehicle", "a stray vehicle", "a stray vehicle for a missing one"],
+)
+def test_a_matching_needs_one_action_per_vehicle(chosen):
+    p = two_vehicle_example()
+    assert matcher._finish(p, {1: 2, 2: 1}).total_score == 2.9
+    with pytest.raises(ContractError, match="exactly one action per vehicle"):
+        matcher._finish(p, chosen)
 
 
 def test_all_null_forced():

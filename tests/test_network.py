@@ -12,6 +12,8 @@ import fairdispatch.network as network_module
 from fairdispatch.errors import InputError, ParseError
 from fairdispatch.network import (
     MAX_LOCATIONS,
+    MAX_SECONDS,
+    TIME_GRID,
     UNREACHABLE,
     AreaPartition,
     GroupId,
@@ -21,6 +23,7 @@ from fairdispatch.network import (
     load_network,
     load_partition,
     make_grid,
+    on_grid,
 )
 
 
@@ -201,16 +204,59 @@ def test_oversized_networks_are_refused_before_any_dijkstra(tmp_path, monkeypatc
 
 
 def test_vanishing_edge_cost_is_refused(tmp_path):
-    # 1000 + 1e-300 == 1000: the heap's order, not (distance, id), would break its ties
-    edges = [(0, 1, 1000.0), (1, 2, 1e-300), (2, 1, 1e-300)]
-    with pytest.raises(InputError, match="vanishes"):
-        from_edges([0, 1, 2], edges)
+    # 1e-300 rounds to 0 on the 2**-20 s grid, beside costs of any scale
+    message = "edge \\(1, 2\\) cost 1e-300 does not round to a positive time on the 2\\*\\*-20 s grid"
+    with pytest.raises(InputError, match=message):
+        from_edges([0, 1, 2], [(0, 1, 1000.0), (1, 2, 1e-300), (2, 1, 1e-300)])
+    with pytest.raises(InputError, match="edge \\(0, 1\\) cost 1e-300 does not round"):
+        from_edges([0, 1, 2], [(0, 1, 1e-300), (1, 2, 1e-300)])
     path = tmp_path / "net.csv"
     path.write_text("0,1,1000\n1,2,1e-300\n")
-    with pytest.raises(ParseError, match="net.csv: edge \\(1, 2\\) cost 1e-300 vanishes"):
+    with pytest.raises(ParseError, match=f"net.csv: {message}"):
         load_network(path)
-    # the same cost beside costs of its own scale is kept
-    assert from_edges([0, 1, 2], [(0, 1, 1e-300), (1, 2, 1e-300)]).travel_time(0, 2) == 2e-300
+    # half the grid rounds to 0 (ties to even); a little more rounds up to it
+    with pytest.raises(InputError, match="does not round to a positive time"):
+        from_edges([0, 1], [(0, 1, TIME_GRID / 2)])
+    assert from_edges([0, 1], [(0, 1, TIME_GRID * 0.75)]).travel_time(0, 1) == TIME_GRID
+
+
+def test_on_grid_rounds_exactly_to_the_nearest_multiple():
+    assert on_grid(1 / 3) == round((1 / 3) * 2**20) * TIME_GRID
+    assert on_grid(2.5 * TIME_GRID) == 2 * TIME_GRID  # ties to even
+    assert on_grid(3.5 * TIME_GRID) == 4 * TIME_GRID
+    assert on_grid(86400.1) == round(86400.1 * 2**20) * TIME_GRID
+    # from 2**32 s up every float is a multiple of the grid
+    assert on_grid(2.0**40 + 0.5) == 2.0**40 + 0.5
+    assert on_grid(1e300) == 1e300
+    assert on_grid(math.inf) == math.inf
+
+
+def test_costs_off_the_grid_give_exact_sums():
+    # costs in thirds and tenths, rounded to the grid: every table entry is a
+    # multiple of the grid and the triangle inequality holds exactly (raw
+    # thirds break it by an ulp: (600 + 2/3) + 2/3 < 600 + 4/3)
+    rng = random.Random(5)
+    for _ in range(20):
+        locations, edges = random_digraph(rng)
+        net = from_edges(locations, edges)
+        assert sorted(net.edges) == sorted((u, v, on_grid(c)) for u, v, c in edges)
+        table = net.travel_matrix()
+        finite = table[table < UNREACHABLE]
+        assert not (finite * 2**20 % 1).any()
+        for a in locations:
+            for b in locations:
+                for c in locations:
+                    assert net.travel_time(a, c) <= net.travel_time(a, b) + net.travel_time(b, c)
+
+
+def test_travel_time_above_the_ceiling_is_refused():
+    half = MAX_SECONDS / 2
+    # a path of exactly the ceiling is kept, one second more is refused
+    assert from_edges([0, 1, 2], [(0, 1, half), (1, 2, half)]).travel_time(0, 2) == MAX_SECONDS
+    with pytest.raises(InputError, match=f"travel time 1073741825.0 s from 0 to 2 exceeds the ceiling of {MAX_SECONDS} s"):
+        from_edges([0, 1, 2], [(0, 1, half), (1, 2, half + 1)])
+    # an unreachable pair is not a travel time
+    assert from_edges([0, 1, 2], [(0, 1, half)]).travel_time(0, 2) == UNREACHABLE
 
 
 def test_travel_time_identity(grid3):
